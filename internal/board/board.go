@@ -92,7 +92,9 @@ type SensorTap interface {
 // actuator's grid), the value currently in effect, and — for frequencies —
 // the DVFS step size; it returns the value that actually takes effect. The
 // board re-clamps and re-quantizes the returned value, so a tap can never
-// drive an actuator outside its physical range.
+// drive an actuator outside its physical range; a non-finite frequency from
+// a tap leaves the frequency in effect unchanged and counts as an actuator
+// mismatch.
 type ActuatorTap interface {
 	// TapBigCores intercepts big-cluster hotplug writes.
 	TapBigCores(requested, current int) int
@@ -141,6 +143,12 @@ type Board struct {
 
 	tmu    tmu
 	budget budget
+
+	// Operating-point cache: opBig and opLittle were computed from opKey
+	// (valid once opValid is set); Run recomputes them when the key changes.
+	opKey           opKey
+	opBig, opLittle opPoint
+	opValid         bool
 }
 
 // New returns a board in its power-on state: all cores online at maximum
@@ -193,7 +201,12 @@ func (b *Board) ForceEmergencyThrottle(d time.Duration) {
 }
 
 // quantizeFreq clamps f into the cluster's range and rounds to the step grid.
-func quantizeFreq(c ClusterConfig, f float64) float64 {
+// A non-finite f is rejected the way cpufreq rejects an unparsable write:
+// the result is cur, the frequency already in effect.
+func quantizeFreq(c ClusterConfig, f, cur float64) float64 {
+	if !finite(f) {
+		return cur
+	}
 	if f < c.FreqMinGHz {
 		f = c.FreqMinGHz
 	}
@@ -205,6 +218,8 @@ func quantizeFreq(c ClusterConfig, f float64) float64 {
 	// entries, not accumulated floating-point sums.
 	return math.Round((c.FreqMinGHz+steps*c.FreqStepGHz)*1e6) / 1e6
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // SetBigCores hotplugs the big cluster to n cores (1..4).
 func (b *Board) SetBigCores(n int) {
@@ -233,15 +248,17 @@ func (b *Board) SetLittleCores(n int) {
 }
 
 // SetBigFreq requests a big-cluster frequency in GHz; the value is clamped
-// and quantized to the DVFS grid. An actual change stalls the board briefly
-// (the PLL relock / voltage ramp of a real cpufreq transition).
+// and quantized to the DVFS grid, and a non-finite value leaves the
+// frequency unchanged. An actual change stalls the board briefly (the PLL
+// relock / voltage ramp of a real cpufreq transition).
 func (b *Board) SetBigFreq(ghz float64) {
-	r := quantizeFreq(b.cfg.Big, ghz)
-	f := r
+	r := quantizeFreq(b.cfg.Big, ghz, b.bigFreq)
+	f, ok := r, true
 	if b.actTap != nil {
-		f = quantizeFreq(b.cfg.Big, b.actTap.TapBigFreq(f, b.bigFreq, b.cfg.Big.FreqStepGHz))
+		t := b.actTap.TapBigFreq(f, b.bigFreq, b.cfg.Big.FreqStepGHz)
+		f, ok = quantizeFreq(b.cfg.Big, t, b.bigFreq), finite(t)
 	}
-	if f != r {
+	if f != r || !ok {
 		b.actMismatches++
 	}
 	if f != b.bigFreq {
@@ -252,12 +269,13 @@ func (b *Board) SetBigFreq(ghz float64) {
 
 // SetLittleFreq requests a little-cluster frequency in GHz.
 func (b *Board) SetLittleFreq(ghz float64) {
-	r := quantizeFreq(b.cfg.Little, ghz)
-	f := r
+	r := quantizeFreq(b.cfg.Little, ghz, b.littleFreq)
+	f, ok := r, true
 	if b.actTap != nil {
-		f = quantizeFreq(b.cfg.Little, b.actTap.TapLittleFreq(f, b.littleFreq, b.cfg.Little.FreqStepGHz))
+		t := b.actTap.TapLittleFreq(f, b.littleFreq, b.cfg.Little.FreqStepGHz)
+		f, ok = quantizeFreq(b.cfg.Little, t, b.littleFreq), finite(t)
 	}
-	if f != r {
+	if f != r || !ok {
 		b.actMismatches++
 	}
 	if f != b.littleFreq {
@@ -328,10 +346,12 @@ func (b *Board) EffectiveLittleFreq() float64 { return math.Min(b.littleFreq, b.
 // Place sets the thread placement. Changing the placement charges the
 // migration penalty for every thread whose cluster assignment changes.
 func (b *Board) Place(p Placement) {
-	if p.ThreadsPerBigCore < 1 {
+	// The negated comparisons also catch NaN, whose packing would make the
+	// busy-core count platform-defined.
+	if !(p.ThreadsPerBigCore >= 1) {
 		p.ThreadsPerBigCore = 1
 	}
-	if p.ThreadsPerLittleCore < 1 {
+	if !(p.ThreadsPerLittleCore >= 1) {
 		p.ThreadsPerLittleCore = 1
 	}
 	if p.ThreadsBig < 0 {
@@ -366,30 +386,51 @@ func (b *Board) EnergyJ() float64 { return b.energyJ }
 // TempC returns the instantaneous hot-spot temperature.
 func (b *Board) TempC() float64 { return b.tempC }
 
-// clusterState captures the per-step operating point of one cluster.
-type clusterState struct {
-	threads   int
-	busyCores int
-	tpc       float64 // threads per busy core
-	rateGIPS  float64 // instructions per second (billions)
-	powerW    float64
+// opKey is every input of the two clusters' operating points: the workload
+// profile, the effective frequencies, the hotplug state and the placement.
+// Leakage also depends on the temperature; Run applies that factor per
+// substep on top of the cached points.
+type opKey struct {
+	prof                  workload.Profile
+	fBig, fLittle         float64
+	bigCores, littleCores int
+	place                 Placement
 }
 
-// evalCluster computes instruction rate and power for one cluster.
-func (b *Board) evalCluster(c ClusterConfig, coresOn int, freq float64, threads int,
-	tpcWanted float64, ipc, memBound float64, totalBusy int) clusterState {
+// opPoint is one cluster's temperature-independent operating point.
+type opPoint struct {
+	rateGIPS float64 // instructions per second (billions)
+	dynW     float64 // busy + idle dynamic power
+	leakW    float64 // leakage at 50 °C, before the temperature factor
+}
 
-	st := clusterState{threads: threads}
+// evalOps computes both clusters' operating points for k.
+func (b *Board) evalOps(k opKey) (big, little opPoint) {
+	p := k.prof
+	threadsBig := clampInt(k.place.ThreadsBig, 0, p.Threads)
+	threadsLittle := p.Threads - threadsBig
+
+	// First pass estimates busy cores for contention.
+	totalBusy := busyCores(threadsBig, k.place.ThreadsPerBigCore, k.bigCores) +
+		busyCores(threadsLittle, k.place.ThreadsPerLittleCore, k.littleCores)
+
+	big = b.evalCluster(b.cfg.Big, k.bigCores, k.fBig, threadsBig,
+		k.place.ThreadsPerBigCore, p.IPCBig, p.MemBound, totalBusy)
+	little = b.evalCluster(b.cfg.Little, k.littleCores, k.fLittle, threadsLittle,
+		k.place.ThreadsPerLittleCore, p.IPCLittle, p.MemBound, totalBusy)
+	return big, little
+}
+
+// evalCluster computes one cluster's operating point.
+func (b *Board) evalCluster(c ClusterConfig, coresOn int, freq float64, threads int,
+	tpcWanted float64, ipc, memBound float64, totalBusy int) opPoint {
+
 	v := c.VoltBase + c.VoltPerGHz*freq
 
-	busy := 0
-	if threads > 0 {
-		busy = int(math.Ceil(float64(threads) / tpcWanted))
-		busy = clampInt(busy, 1, coresOn)
-	}
-	st.busyCores = busy
+	busy := busyCores(threads, tpcWanted, coresOn)
+	var tpc float64 // threads per busy core
 	if busy > 0 {
-		st.tpc = float64(threads) / float64(busy)
+		tpc = float64(threads) / float64(busy)
 	}
 
 	// Memory-boundedness inflated by bandwidth contention across all busy
@@ -406,55 +447,70 @@ func (b *Board) evalCluster(c ClusterConfig, coresOn int, freq float64, threads 
 		ratePerCore = ipc * freq / ((1 - mb) + mb*freq/c.RefFreqGHz)
 	}
 	mux := 1.0
-	if st.tpc > 1 {
-		mux = math.Pow(b.cfg.MuxEfficiency, st.tpc-1)
+	if tpc > 1 {
+		mux = math.Pow(b.cfg.MuxEfficiency, tpc-1)
 	}
-	st.rateGIPS = float64(busy) * ratePerCore * mux
 
 	// Power: busy cores burn full dynamic power weighted by stall activity;
 	// idle-but-on cores burn the idle activity; all on cores leak.
 	activity := (1 - mb) + mb*c.StallPowerFactor
 	pBusy := float64(busy) * c.CdynWPerV2GHz * v * v * freq * activity
 	pIdle := float64(coresOn-busy) * c.CdynWPerV2GHz * v * v * freq * c.IdleActivity
-	leak := float64(coresOn) * c.StaticBaseW * math.Exp((b.tempC-50)/c.StaticTempScaleC)
-	st.powerW = pBusy + pIdle + leak
-	return st
+	return opPoint{
+		rateGIPS: float64(busy) * ratePerCore * mux,
+		dynW:     pBusy + pIdle,
+		leakW:    float64(coresOn) * c.StaticBaseW,
+	}
+}
+
+// busyCores is the number of cores threads occupy at tpc threads per core.
+func busyCores(threads int, tpc float64, coresOn int) int {
+	if threads <= 0 {
+		return 0
+	}
+	return clampInt(int(math.Ceil(float64(threads)/tpc)), 1, coresOn)
 }
 
 // Run advances the board by dt while executing w, and returns the sensor
 // view a controller invoked at the end of the interval would observe.
+//
+// The clusters' operating points are recomputed only when their inputs
+// (opKey) change — a phase change, an actuator or placement write, or a
+// firmware or budget cap step — so a substep costs one Profile call, a key
+// comparison and the temperature-dependent leakage.
 func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 	stepS := b.cfg.SimStep.Seconds()
 	nSteps := int(math.Round(dt.Seconds() / stepS))
 	if nSteps < 1 {
 		nSteps = 1
 	}
+	sensorS := b.cfg.PowerSensorPeriod.Seconds() - 1e-9
+	scaleBig, scaleLittle := b.cfg.Big.StaticTempScaleC, b.cfg.Little.StaticTempScaleC
 	var instT, instB, instL float64
 	for i := 0; i < nSteps; i++ {
-		p := w.Profile()
-		threads := p.Threads
-
-		threadsBig := clampInt(b.place.ThreadsBig, 0, threads)
-		threadsLittle := threads - threadsBig
-
-		fBig := b.EffectiveBigFreq()
-		fLittle := b.EffectiveLittleFreq()
-
-		// First pass estimates busy cores for contention.
-		estBusyBig := 0
-		if threadsBig > 0 {
-			estBusyBig = clampInt(int(math.Ceil(float64(threadsBig)/b.place.ThreadsPerBigCore)), 1, b.bigCores)
+		k := opKey{
+			prof:        w.Profile(),
+			fBig:        b.EffectiveBigFreq(),
+			fLittle:     b.EffectiveLittleFreq(),
+			bigCores:    b.bigCores,
+			littleCores: b.littleCores,
+			place:       b.place,
 		}
-		estBusyLittle := 0
-		if threadsLittle > 0 {
-			estBusyLittle = clampInt(int(math.Ceil(float64(threadsLittle)/b.place.ThreadsPerLittleCore)), 1, b.littleCores)
+		if !b.opValid || k != b.opKey {
+			b.opBig, b.opLittle = b.evalOps(k)
+			b.opKey, b.opValid = k, true
 		}
-		totalBusy := estBusyBig + estBusyLittle
-
-		big := b.evalCluster(b.cfg.Big, b.bigCores, fBig, threadsBig,
-			b.place.ThreadsPerBigCore, p.IPCBig, p.MemBound, totalBusy)
-		little := b.evalCluster(b.cfg.Little, b.littleCores, fLittle, threadsLittle,
-			b.place.ThreadsPerLittleCore, p.IPCLittle, p.MemBound, totalBusy)
+		// Equal leakage scales (the default) give the same exponent, and so
+		// the same factor, for both clusters.
+		leakBig := math.Exp((b.tempC - 50) / scaleBig)
+		leakLittle := leakBig
+		if scaleLittle != scaleBig {
+			leakLittle = math.Exp((b.tempC - 50) / scaleLittle)
+		}
+		// (pBusy+pIdle) + (coresOn·StaticBaseW)·exp is the operation order
+		// the golden traces were recorded with; keep it.
+		bigW := b.opBig.dynW + b.opBig.leakW*leakBig
+		littleW := b.opLittle.dynW + b.opLittle.leakW*leakLittle
 
 		// Migration stalls eat into this step's execution.
 		execS := stepS
@@ -468,17 +524,17 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 			}
 		}
 
-		gB := big.rateGIPS * execS
-		gL := little.rateGIPS * execS
+		gB := b.opBig.rateGIPS * execS
+		gL := b.opLittle.rateGIPS * execS
 		w.Advance(gB + gL)
 		instB += gB
 		instL += gL
 		instT += gB + gL
 
-		pTotal := big.powerW + little.powerW + b.cfg.BasePowerW
+		pTotal := bigW + littleW + b.cfg.BasePowerW
 		b.energyJ += pTotal * stepS
-		b.windowBigE += big.powerW * stepS
-		b.windowLittleE += little.powerW * stepS
+		b.windowBigE += bigW * stepS
+		b.windowLittleE += littleW * stepS
 
 		// Thermal RC integration.
 		tss := b.cfg.AmbientC + b.cfg.ThermalRCW*pTotal
@@ -487,7 +543,7 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 		b.nowS += stepS
 
 		// Power sensors latch the window average every sensor period.
-		if b.nowS-b.windowStartS >= b.cfg.PowerSensorPeriod.Seconds()-1e-9 {
+		if b.nowS-b.windowStartS >= sensorS {
 			win := b.nowS - b.windowStartS
 			b.sensedBigW = b.windowBigE / win
 			b.sensedLittleW = b.windowLittleE / win
@@ -500,7 +556,7 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 		}
 
 		// Firmware emergency management sees instantaneous physics.
-		b.tmu.step(b, big.powerW, little.powerW, stepS)
+		b.tmu.step(b, bigW, littleW, stepS)
 		// The budget governor enforces the board-level power cap on the
 		// total draw, after (and never overriding) the emergency paths.
 		b.budget.step(b, pTotal, stepS)

@@ -3,6 +3,7 @@ package board
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,5 +289,557 @@ func TestDeterminism(t *testing.T) {
 	e2, t2 := run()
 	if e1 != e2 || t1 != t2 {
 		t.Fatalf("simulation not deterministic: (%v,%v) vs (%v,%v)", e1, t1, e2, t2)
+	}
+}
+
+// The reference physics below is Run as it was before the operating-point
+// cache: every substep re-derives both clusters' operating points, and the
+// firmware and budget governors convert their Config durations on every
+// call. TestRunMatchesReference holds the cached Run to it bit for bit.
+
+type refClusterState struct {
+	threads   int
+	busyCores int
+	tpc       float64
+	rateGIPS  float64
+	powerW    float64
+}
+
+func refEvalCluster(b *Board, c ClusterConfig, coresOn int, freq float64, threads int,
+	tpcWanted float64, ipc, memBound float64, totalBusy int) refClusterState {
+
+	st := refClusterState{threads: threads}
+	v := c.VoltBase + c.VoltPerGHz*freq
+
+	busy := 0
+	if threads > 0 {
+		busy = int(math.Ceil(float64(threads) / tpcWanted))
+		busy = clampInt(busy, 1, coresOn)
+	}
+	st.busyCores = busy
+	if busy > 0 {
+		st.tpc = float64(threads) / float64(busy)
+	}
+
+	mb := memBound * (1 + b.cfg.MemContentionPerCore*float64(maxInt(totalBusy-1, 0)))
+	if mb > 0.92 {
+		mb = 0.92
+	}
+
+	var ratePerCore float64
+	if busy > 0 && ipc > 0 {
+		ratePerCore = ipc * freq / ((1 - mb) + mb*freq/c.RefFreqGHz)
+	}
+	mux := 1.0
+	if st.tpc > 1 {
+		mux = math.Pow(b.cfg.MuxEfficiency, st.tpc-1)
+	}
+	st.rateGIPS = float64(busy) * ratePerCore * mux
+
+	activity := (1 - mb) + mb*c.StallPowerFactor
+	pBusy := float64(busy) * c.CdynWPerV2GHz * v * v * freq * activity
+	pIdle := float64(coresOn-busy) * c.CdynWPerV2GHz * v * v * freq * c.IdleActivity
+	leak := float64(coresOn) * c.StaticBaseW * math.Exp((b.tempC-50)/c.StaticTempScaleC)
+	st.powerW = pBusy + pIdle + leak
+	return st
+}
+
+func refRun(b *Board, w workload.Workload, dt time.Duration) Sensors {
+	stepS := b.cfg.SimStep.Seconds()
+	nSteps := int(math.Round(dt.Seconds() / stepS))
+	if nSteps < 1 {
+		nSteps = 1
+	}
+	var instT, instB, instL float64
+	for i := 0; i < nSteps; i++ {
+		p := w.Profile()
+		threads := p.Threads
+
+		threadsBig := clampInt(b.place.ThreadsBig, 0, threads)
+		threadsLittle := threads - threadsBig
+
+		fBig := b.EffectiveBigFreq()
+		fLittle := b.EffectiveLittleFreq()
+
+		estBusyBig := 0
+		if threadsBig > 0 {
+			estBusyBig = clampInt(int(math.Ceil(float64(threadsBig)/b.place.ThreadsPerBigCore)), 1, b.bigCores)
+		}
+		estBusyLittle := 0
+		if threadsLittle > 0 {
+			estBusyLittle = clampInt(int(math.Ceil(float64(threadsLittle)/b.place.ThreadsPerLittleCore)), 1, b.littleCores)
+		}
+		totalBusy := estBusyBig + estBusyLittle
+
+		big := refEvalCluster(b, b.cfg.Big, b.bigCores, fBig, threadsBig,
+			b.place.ThreadsPerBigCore, p.IPCBig, p.MemBound, totalBusy)
+		little := refEvalCluster(b, b.cfg.Little, b.littleCores, fLittle, threadsLittle,
+			b.place.ThreadsPerLittleCore, p.IPCLittle, p.MemBound, totalBusy)
+
+		execS := stepS
+		if b.migStallS > 0 {
+			if b.migStallS >= stepS {
+				b.migStallS -= stepS
+				execS = 0
+			} else {
+				execS = stepS - b.migStallS
+				b.migStallS = 0
+			}
+		}
+
+		gB := big.rateGIPS * execS
+		gL := little.rateGIPS * execS
+		w.Advance(gB + gL)
+		instB += gB
+		instL += gL
+		instT += gB + gL
+
+		pTotal := big.powerW + little.powerW + b.cfg.BasePowerW
+		b.energyJ += pTotal * stepS
+		b.windowBigE += big.powerW * stepS
+		b.windowLittleE += little.powerW * stepS
+
+		tss := b.cfg.AmbientC + b.cfg.ThermalRCW*pTotal
+		b.tempC += stepS * (tss - b.tempC) / b.cfg.ThermalTauS
+
+		b.nowS += stepS
+
+		if b.nowS-b.windowStartS >= b.cfg.PowerSensorPeriod.Seconds()-1e-9 {
+			win := b.nowS - b.windowStartS
+			b.sensedBigW = b.windowBigE / win
+			b.sensedLittleW = b.windowLittleE / win
+			if b.noise != nil {
+				b.sensedBigW = math.Max(0, b.sensedBigW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd)
+				b.sensedLittleW = math.Max(0, b.sensedLittleW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd/10)
+			}
+			b.windowBigE, b.windowLittleE = 0, 0
+			b.windowStartS = b.nowS
+		}
+
+		refTMUStep(&b.tmu, b, big.powerW, little.powerW, stepS)
+		refBudgetStep(&b.budget, b, pTotal, stepS)
+	}
+	b.instTotal += instT
+	b.instBig += instB
+	b.instLittle += instL
+
+	intervalS := float64(nSteps) * stepS
+	tempRead := b.tempC
+	if b.noise != nil {
+		tempRead += b.noise.NormFloat64() * b.cfg.SensorNoiseStd / 10
+	}
+	s := Sensors{
+		TimeS:            b.nowS,
+		BigPowerW:        b.sensedBigW,
+		LittlePowerW:     b.sensedLittleW,
+		TempC:            tempRead,
+		BIPS:             instT / intervalS,
+		BIPSBig:          instB / intervalS,
+		BIPSLittle:       instL / intervalS,
+		Throttled:        b.tmu.engagedBig || b.tmu.engagedLittle || b.tmu.engagedTemp,
+		ThermalThrottled: b.tmu.engagedTemp,
+		EmergencyEvents:  b.tmu.events,
+		PowerCapW:        b.budget.capW,
+		BudgetThrottled:  b.budget.engaged,
+	}
+	if b.sensorTap != nil {
+		s = b.sensorTap.TapSensors(s)
+	}
+	return s
+}
+
+func refTMUStep(t *tmu, b *Board, bigW, littleW, dt float64) {
+	t.sinceStepS += dt
+
+	track := func(over bool, overS, underS *float64) {
+		if over {
+			*overS += dt
+			*underS = 0
+		} else {
+			*underS += dt
+			*overS = 0
+		}
+	}
+	forced := t.forcedS > 0
+	if forced {
+		t.forcedS -= dt
+	}
+	track(bigW > b.cfg.BigPowerEmergencyW, &t.overBigS, &t.underBigS)
+	track(littleW > b.cfg.LittlePowerEmergencyW, &t.overLittleS, &t.underLittleS)
+	track(forced || b.tempC > b.cfg.TempEmergencyC, &t.overTempS, &t.underTempS)
+
+	hold := b.cfg.EmergencyHold.Seconds()
+	release := b.cfg.EmergencyReleaseDelay.Seconds()
+	hystBig := b.cfg.BigPowerEmergencyW * (1 - b.cfg.EmergencyHysteresisPct)
+	hystLittle := b.cfg.LittlePowerEmergencyW * (1 - b.cfg.EmergencyHysteresisPct)
+	hystTemp := b.cfg.TempEmergencyC - 2
+
+	if t.sinceStepS < b.cfg.EmergencyStepPeriod.Seconds() {
+		return
+	}
+	t.sinceStepS = 0
+
+	switch {
+	case t.overBigS >= hold:
+		if !t.engagedBig {
+			t.engagedBig = true
+			t.events++
+		}
+		t.bigCap = math.Max(b.cfg.Big.FreqMinGHz,
+			math.Min(t.bigCap, b.EffectiveBigFreq())-2*b.cfg.Big.FreqStepGHz)
+	case t.engagedBig && t.underBigS >= release && bigW < hystBig:
+		t.bigCap += b.cfg.Big.FreqStepGHz
+		if t.bigCap >= b.cfg.Big.FreqMaxGHz {
+			t.bigCap = b.cfg.Big.FreqMaxGHz
+			t.engagedBig = false
+		}
+	}
+
+	switch {
+	case t.overLittleS >= hold:
+		if !t.engagedLittle {
+			t.engagedLittle = true
+			t.events++
+		}
+		t.littleCap = math.Max(b.cfg.Little.FreqMinGHz,
+			math.Min(t.littleCap, b.EffectiveLittleFreq())-2*b.cfg.Little.FreqStepGHz)
+	case t.engagedLittle && t.underLittleS >= release && littleW < hystLittle:
+		t.littleCap += b.cfg.Little.FreqStepGHz
+		if t.littleCap >= b.cfg.Little.FreqMaxGHz {
+			t.littleCap = b.cfg.Little.FreqMaxGHz
+			t.engagedLittle = false
+		}
+	}
+
+	switch {
+	case t.overTempS >= hold:
+		if !t.engagedTemp {
+			t.engagedTemp = true
+			t.events++
+		}
+		t.bigCap = math.Max(b.cfg.Big.FreqMinGHz,
+			math.Min(t.bigCap, b.EffectiveBigFreq())-3*b.cfg.Big.FreqStepGHz)
+	case t.engagedTemp && t.underTempS >= release && b.tempC < hystTemp:
+		t.bigCap += b.cfg.Big.FreqStepGHz
+		if t.bigCap >= b.cfg.Big.FreqMaxGHz {
+			t.bigCap = b.cfg.Big.FreqMaxGHz
+			t.engagedTemp = false
+		}
+	}
+}
+
+func refBudgetStep(g *budget, b *Board, totalW, dt float64) {
+	cfg := b.cfg
+	knob := func(d, fallback time.Duration) float64 {
+		if d > 0 {
+			return d.Seconds()
+		}
+		return fallback.Seconds()
+	}
+	hysteresis := cfg.EmergencyHysteresisPct
+	if cfg.BudgetHysteresisPct > 0 {
+		hysteresis = cfg.BudgetHysteresisPct
+	}
+
+	if g.capW <= 0 {
+		return
+	}
+	g.sinceStepS += dt
+	if totalW > g.capW {
+		g.overS += dt
+		g.underS = 0
+	} else {
+		g.underS += dt
+		g.overS = 0
+	}
+	if g.sinceStepS < knob(cfg.BudgetStepPeriod, cfg.EmergencyStepPeriod) {
+		return
+	}
+	g.sinceStepS = 0
+	switch {
+	case g.overS >= knob(cfg.BudgetHold, cfg.EmergencyHold):
+		if !g.engaged {
+			g.engaged = true
+			g.events++
+		}
+		g.capGHz = math.Max(cfg.Big.FreqMinGHz,
+			math.Min(g.capGHz, b.EffectiveBigFreq())-2*cfg.Big.FreqStepGHz)
+	case g.engaged && g.underS >= knob(cfg.BudgetReleaseDelay, cfg.EmergencyReleaseDelay) &&
+		totalW < g.capW*(1-hysteresis):
+		g.capGHz += cfg.Big.FreqStepGHz
+		if g.capGHz >= cfg.Big.FreqMaxGHz {
+			g.capGHz = cfg.Big.FreqMaxGHz
+			g.engaged = false
+		}
+	}
+}
+
+// phasedApp is a multi-phase app short enough to move through its phases
+// within a few seconds of full-tilt execution.
+func phasedApp(t testing.TB, totalGInst float64) *workload.App {
+	t.Helper()
+	a, err := workload.NewApp("phased", "TEST", totalGInst, []workload.Phase{
+		{WorkFrac: 0.3, Threads: 8, MemBound: 0.1, IPCBig: 1.6, IPCLittle: 0.8},
+		{WorkFrac: 0.2, Threads: 2, MemBound: 0.6, IPCBig: 0.7, IPCLittle: 0.4},
+		{WorkFrac: 0.3, Threads: 6, MemBound: 0.3, IPCBig: 1.2, IPCLittle: 0.6},
+		{WorkFrac: 0.2, Threads: 1, MemBound: 0.05, IPCBig: 1.9, IPCLittle: 0.9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// randTap is a deterministic actuator fault: it holds, skews or passes each
+// write, and now and then returns a non-finite frequency.
+type randTap struct{ rng *rand.Rand }
+
+func (r randTap) cores(req, cur int) int {
+	switch r.rng.Intn(4) {
+	case 0:
+		return cur
+	case 1:
+		return req + r.rng.Intn(3) - 1
+	}
+	return req
+}
+
+func (r randTap) freq(req, cur, step float64) float64 {
+	switch r.rng.Intn(6) {
+	case 0:
+		return cur
+	case 1:
+		return req + float64(r.rng.Intn(5)-2)*step
+	case 2:
+		return math.NaN()
+	}
+	return req
+}
+
+func (r randTap) TapBigCores(req, cur int) int                 { return r.cores(req, cur) }
+func (r randTap) TapLittleCores(req, cur int) int              { return r.cores(req, cur) }
+func (r randTap) TapBigFreq(req, cur, step float64) float64    { return r.freq(req, cur, step) }
+func (r randTap) TapLittleFreq(req, cur, step float64) float64 { return r.freq(req, cur, step) }
+
+// identicalBits reports whether two structs agree field by field, floats
+// compared by their bit patterns.
+func identicalBits(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if fa.Interface() != fb.Interface() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunMatchesReference drives a board through Run and a twin through
+// refRun with the same random actuator, placement, cap, throttle, workload
+// and interval sequence, and requires bit-identical results after every
+// interval. It is the gate the operating-point cache lives under.
+func TestRunMatchesReference(t *testing.T) {
+	intervals := []time.Duration{3 * time.Millisecond, 10 * time.Millisecond,
+		100 * time.Millisecond, 260 * time.Millisecond, 500 * time.Millisecond, time.Second}
+	caps := []float64{0, 1.5, 2.2, 3.0}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		if rng.Intn(2) == 0 {
+			cfg.SensorNoiseStd, cfg.SensorNoiseSeed = 0.05, seed
+		}
+		if rng.Intn(4) == 0 {
+			cfg.Little.StaticTempScaleC = 30 // unequal scales: one Exp per cluster
+		}
+		if rng.Intn(4) == 0 {
+			cfg.LittlePowerEmergencyW = 0.15 // reachable little-cluster emergency
+		}
+		if rng.Intn(4) == 0 {
+			// Unset budget knobs fall back to the emergency parameters.
+			cfg.BudgetHold, cfg.BudgetStepPeriod, cfg.BudgetReleaseDelay = 0, 0, 0
+			cfg.BudgetHysteresisPct = 0
+		}
+		kind := rng.Intn(4)
+		tapped := rng.Intn(2) == 0
+		type twin struct {
+			b      *Board
+			w      workload.Workload
+			capped *workload.Capped
+			run    func(*Board, workload.Workload, time.Duration) Sensors
+		}
+		mk := func(run func(*Board, workload.Workload, time.Duration) Sensors) *twin {
+			tw := &twin{b: New(cfg), run: run}
+			switch kind {
+			case 0:
+				tw.w = phasedApp(t, 60)
+			case 1:
+				tw.w = workload.NewMix("mix", phasedApp(t, 40), workload.MustLookup("mcf"))
+			case 2:
+				tw.capped = workload.NewCapped(phasedApp(t, 60))
+				tw.w = tw.capped
+			default:
+				tw.w = workload.NewDisturbed(phasedApp(t, 60), workload.Disturbance{
+					MeanPeriodG: 5, DurationG: 2, ThreadFrac: 0.5, MemBoundAdd: 0.2}, seed)
+			}
+			if tapped {
+				tw.b.AttachActuatorTap(randTap{rand.New(rand.NewSource(seed ^ 0x5eed))})
+			}
+			return tw
+		}
+		got := mk((*Board).Run)
+		want := mk(refRun)
+		twins := []*twin{got, want}
+		for step := 0; step < 80; step++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				op, x, v := rng.Intn(9), rng.Intn(6)-1, rng.Float64()
+				for _, tw := range twins {
+					switch op {
+					case 0:
+						tw.b.SetBigCores(x)
+					case 1:
+						tw.b.SetLittleCores(x)
+					case 2:
+						tw.b.SetBigFreq(v * 2.4)
+					case 3:
+						tw.b.SetLittleFreq(v * 1.8)
+					case 4:
+						tw.b.Place(Placement{ThreadsBig: x + 3, ThreadsLittle: 4 - x,
+							ThreadsPerBigCore: 0.5 + 3*v, ThreadsPerLittleCore: 2.5 - 2*v})
+					case 5:
+						tw.b.ChargeMigrations(x)
+					case 6:
+						tw.b.SetPowerCapW(caps[(x+1)%len(caps)])
+					case 7:
+						tw.b.ForceEmergencyThrottle(time.Duration(v * float64(2*time.Second)))
+					case 8:
+						if tw.capped != nil {
+							tw.capped.SetCap(x + 2)
+						}
+					}
+				}
+			}
+			dt := intervals[rng.Intn(len(intervals))]
+			sg, sw := got.run(got.b, got.w, dt), want.run(want.b, want.w, dt)
+			if !identicalBits(sg, sw) ||
+				math.Float64bits(got.b.EnergyJ()) != math.Float64bits(want.b.EnergyJ()) ||
+				math.Float64bits(got.b.TempC()) != math.Float64bits(want.b.TempC()) ||
+				math.Float64bits(got.b.TimeS()) != math.Float64bits(want.b.TimeS()) ||
+				math.Float64bits(got.w.Remaining()) != math.Float64bits(want.w.Remaining()) ||
+				got.b.ActuatorMismatches() != want.b.ActuatorMismatches() {
+				t.Logf("seed %d interval %d: cached %+v E=%v T=%v, reference %+v E=%v T=%v",
+					seed, step, sg, got.b.EnergyJ(), got.b.TempC(), sw, want.b.EnergyJ(), want.b.TempC())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestNonFiniteFreqWriteKeepsFrequency(t *testing.T) {
+	b := New(DefaultConfig())
+	b.SetBigFreq(1.2)
+	b.SetLittleFreq(0.8)
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b.SetBigFreq(x)
+		b.SetLittleFreq(x)
+	}
+	if b.BigFreq() != 1.2 || b.LittleFreq() != 0.8 {
+		t.Fatalf("non-finite writes moved the frequencies to %v/%v", b.BigFreq(), b.LittleFreq())
+	}
+	if n := b.ActuatorMismatches(); n != 0 {
+		t.Fatalf("rejected requests counted %d mismatches, want 0", n)
+	}
+	w := steadyApp(t, 0.2)
+	s := b.Run(w, time.Second)
+	if !finite(b.EffectiveBigFreq()) || !finite(b.EnergyJ()) || !finite(b.TempC()) || !finite(s.BIPS) {
+		t.Fatalf("board state not finite after non-finite writes: %v", b)
+	}
+}
+
+// nanTap returns NaN for every frequency write and passes hotplug through.
+type nanTap struct{}
+
+func (nanTap) TapBigCores(req, _ int) int            { return req }
+func (nanTap) TapLittleCores(req, _ int) int         { return req }
+func (nanTap) TapBigFreq(_, _, _ float64) float64    { return math.NaN() }
+func (nanTap) TapLittleFreq(_, _, _ float64) float64 { return math.Inf(1) }
+
+func TestNonFiniteTapResultIsMismatch(t *testing.T) {
+	b := New(DefaultConfig())
+	b.SetBigFreq(1.2)
+	b.AttachActuatorTap(nanTap{})
+	b.SetBigFreq(1.5)
+	b.SetBigFreq(1.2) // the tap fails even when the request is the current value
+	b.SetLittleFreq(0.6)
+	if b.BigFreq() != 1.2 || b.LittleFreq() != b.Config().Little.FreqMaxGHz {
+		t.Fatalf("non-finite tap results moved the frequencies to %v/%v", b.BigFreq(), b.LittleFreq())
+	}
+	if n := b.ActuatorMismatches(); n != 3 {
+		t.Fatalf("ActuatorMismatches = %d, want 3", n)
+	}
+	b.Run(steadyApp(t, 0.2), time.Second)
+	if !finite(b.EnergyJ()) || !finite(b.TempC()) {
+		t.Fatalf("board state not finite after non-finite tap results: %v", b)
+	}
+}
+
+func TestPlaceClampsNaNPacking(t *testing.T) {
+	b := New(DefaultConfig())
+	b.Place(Placement{ThreadsBig: 4, ThreadsPerBigCore: math.NaN(), ThreadsPerLittleCore: math.NaN()})
+	if p := b.Placement(); p.ThreadsPerBigCore != 1 || p.ThreadsPerLittleCore != 1 {
+		t.Fatalf("NaN packing stored as %+v, want 1", p)
+	}
+}
+
+func TestNaNPowerCapUncaps(t *testing.T) {
+	b := New(DefaultConfig())
+	b.SetPowerCapW(2)
+	b.SetPowerCapW(math.NaN())
+	if got := b.PowerCapW(); got != 0 {
+		t.Fatalf("PowerCapW = %v after a NaN cap, want 0 (uncapped)", got)
+	}
+}
+
+// cappedPhasedBoard is the physics hot path's benchmark scene: a
+// phase-changing app on the big cluster under a 2.2 W board budget.
+func cappedPhasedBoard(t testing.TB) (*Board, *workload.App) {
+	b := New(DefaultConfig())
+	b.SetPowerCapW(2.2)
+	allBig(b)
+	return b, phasedApp(t, 100)
+}
+
+// BenchmarkBoardRun measures one 500 ms control interval of board physics
+// (50 substeps), the dominant per-interval cost of every simulated run.
+func BenchmarkBoardRun(b *testing.B) {
+	bd, w := cappedPhasedBoard(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w.Done() {
+			w.Reset()
+		}
+		bd.Run(w, 500*time.Millisecond)
+	}
+}
+
+// TestBoardRunZeroAlloc keeps the physics hot path allocation-free.
+func TestBoardRunZeroAlloc(t *testing.T) {
+	bd, w := cappedPhasedBoard(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		if w.Done() {
+			w.Reset()
+		}
+		bd.Run(w, 500*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("Board.Run allocates %v times per interval, want 0", allocs)
 	}
 }

@@ -1,6 +1,9 @@
 package board
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // budget models an externally imposed board-level power cap, the actuation
 // surface the fleet coordination layer drives. It mirrors the RAPL-style
@@ -13,7 +16,9 @@ import "math"
 // command, the TMU cap and the budget ceiling — so fleet capping composes
 // with, and never fights, the firmware emergency heuristics.
 type budget struct {
-	cfg Config
+	// The resolved dynamics knobs: durations in seconds, hysteresis as a
+	// fraction of the cap.
+	hold, stepPeriod, releaseDelay, hysteresis float64
 
 	capW   float64 // 0 = uncapped
 	capGHz float64 // current big-cluster ceiling (GHz)
@@ -25,50 +30,40 @@ type budget struct {
 	events  int
 }
 
+// newBudget resolves the budget knobs, falling back to the firmware
+// emergency parameters for any that are unset, so a hand-built Config with a
+// power cap still gets sane dynamics.
 func newBudget(cfg Config) budget {
-	return budget{cfg: cfg, capGHz: cfg.Big.FreqMaxGHz}
-}
-
-// hold, stepPeriod, releaseDelay and hysteresis fall back to the firmware
-// emergency parameters when the dedicated budget knobs are unset, so a
-// hand-built Config with a power cap still gets sane dynamics.
-func (g *budget) hold() float64 {
-	if g.cfg.BudgetHold > 0 {
-		return g.cfg.BudgetHold.Seconds()
+	hyst := cfg.BudgetHysteresisPct
+	if hyst <= 0 {
+		hyst = cfg.EmergencyHysteresisPct
 	}
-	return g.cfg.EmergencyHold.Seconds()
-}
-
-func (g *budget) stepPeriod() float64 {
-	if g.cfg.BudgetStepPeriod > 0 {
-		return g.cfg.BudgetStepPeriod.Seconds()
+	return budget{
+		hold:         seconds(cfg.BudgetHold, cfg.EmergencyHold),
+		stepPeriod:   seconds(cfg.BudgetStepPeriod, cfg.EmergencyStepPeriod),
+		releaseDelay: seconds(cfg.BudgetReleaseDelay, cfg.EmergencyReleaseDelay),
+		hysteresis:   hyst,
+		capGHz:       cfg.Big.FreqMaxGHz,
 	}
-	return g.cfg.EmergencyStepPeriod.Seconds()
 }
 
-func (g *budget) releaseDelay() float64 {
-	if g.cfg.BudgetReleaseDelay > 0 {
-		return g.cfg.BudgetReleaseDelay.Seconds()
+// seconds returns d in seconds, or fallback when d is unset.
+func seconds(d, fallback time.Duration) float64 {
+	if d > 0 {
+		return d.Seconds()
 	}
-	return g.cfg.EmergencyReleaseDelay.Seconds()
+	return fallback.Seconds()
 }
 
-func (g *budget) hysteresis() float64 {
-	if g.cfg.BudgetHysteresisPct > 0 {
-		return g.cfg.BudgetHysteresisPct
-	}
-	return g.cfg.EmergencyHysteresisPct
-}
-
-// setCap installs a new power cap in watts. A non-positive cap disables the
-// governor and releases the ceiling immediately (the board is its own master
-// again); raising or lowering an active cap keeps the ceiling where it is
+// setCap installs a new power cap in watts. A non-positive or NaN cap
+// disables the governor and releases the ceiling to maxGHz immediately (the
+// board is its own master again); raising or lowering an active cap keeps the ceiling where it is
 // and lets the normal attack/release dynamics walk it to the new operating
 // point, so a fleet reallocation never snaps a board's frequency.
-func (g *budget) setCap(w float64) {
-	if w <= 0 {
+func (g *budget) setCap(w, maxGHz float64) {
+	if !(w > 0) {
 		g.capW = 0
-		g.capGHz = g.cfg.Big.FreqMaxGHz
+		g.capGHz = maxGHz
 		g.overS, g.underS, g.sinceStepS = 0, 0, 0
 		g.engaged = false
 		return
@@ -90,22 +85,23 @@ func (g *budget) step(b *Board, totalW, dt float64) {
 		g.underS += dt
 		g.overS = 0
 	}
-	if g.sinceStepS < g.stepPeriod() {
+	if g.sinceStepS < g.stepPeriod {
 		return
 	}
 	g.sinceStepS = 0
+	big := &b.cfg.Big
 	switch {
-	case g.overS >= g.hold():
+	case g.overS >= g.hold:
 		if !g.engaged {
 			g.engaged = true
 			g.events++
 		}
-		g.capGHz = math.Max(g.cfg.Big.FreqMinGHz,
-			math.Min(g.capGHz, b.EffectiveBigFreq())-2*g.cfg.Big.FreqStepGHz)
-	case g.engaged && g.underS >= g.releaseDelay() && totalW < g.capW*(1-g.hysteresis()):
-		g.capGHz += g.cfg.Big.FreqStepGHz
-		if g.capGHz >= g.cfg.Big.FreqMaxGHz {
-			g.capGHz = g.cfg.Big.FreqMaxGHz
+		g.capGHz = math.Max(big.FreqMinGHz,
+			math.Min(g.capGHz, b.EffectiveBigFreq())-2*big.FreqStepGHz)
+	case g.engaged && g.underS >= g.releaseDelay && totalW < g.capW*(1-g.hysteresis):
+		g.capGHz += big.FreqStepGHz
+		if g.capGHz >= big.FreqMaxGHz {
+			g.capGHz = big.FreqMaxGHz
 			g.engaged = false
 		}
 	}
@@ -114,11 +110,11 @@ func (g *budget) step(b *Board, totalW, dt float64) {
 // SetPowerCapW imposes a board-level power budget in watts on the total
 // board draw (big + little + base). The budget governor enforces it by
 // stepping a frequency ceiling on the big cluster (see EffectiveBigFreq); a
-// non-positive value removes the cap and releases the ceiling. This is the
+// non-positive or NaN value removes the cap and releases the ceiling. This is the
 // only actuator the fleet coordination layer touches — each board's own
 // two-layer controller stack keeps full authority underneath the cap,
 // exactly as the paper's OS layer constrains its HW layer.
-func (b *Board) SetPowerCapW(w float64) { b.budget.setCap(w) }
+func (b *Board) SetPowerCapW(w float64) { b.budget.setCap(w, b.cfg.Big.FreqMaxGHz) }
 
 // PowerCapW returns the current board power budget in watts (0 = uncapped).
 func (b *Board) PowerCapW() float64 { return b.budget.capW }

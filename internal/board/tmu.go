@@ -11,7 +11,8 @@ import "math"
 // controllers' authority — is what makes the Decoupled heuristic scheme
 // oscillate in Figure 10(b).
 type tmu struct {
-	cfg Config
+	// The Config durations the state machine runs on, in seconds.
+	hold, release, stepPeriod float64
 
 	bigCap, littleCap float64 // current frequency caps (GHz)
 
@@ -26,15 +27,18 @@ type tmu struct {
 
 func newTMU(cfg Config) tmu {
 	return tmu{
-		cfg:       cfg,
-		bigCap:    cfg.Big.FreqMaxGHz,
-		littleCap: cfg.Little.FreqMaxGHz,
+		hold:       cfg.EmergencyHold.Seconds(),
+		release:    cfg.EmergencyReleaseDelay.Seconds(),
+		stepPeriod: cfg.EmergencyStepPeriod.Seconds(),
+		bigCap:     cfg.Big.FreqMaxGHz,
+		littleCap:  cfg.Little.FreqMaxGHz,
 	}
 }
 
 // step advances the firmware state machine by dt seconds given instantaneous
 // cluster powers.
 func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
+	cfg := &b.cfg
 	t.sinceStepS += dt
 
 	track := func(over bool, overS, underS *float64) {
@@ -52,20 +56,17 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
 	if forced {
 		t.forcedS -= dt
 	}
-	track(bigW > t.cfg.BigPowerEmergencyW, &t.overBigS, &t.underBigS)
-	track(littleW > t.cfg.LittlePowerEmergencyW, &t.overLittleS, &t.underLittleS)
-	track(forced || b.tempC > t.cfg.TempEmergencyC, &t.overTempS, &t.underTempS)
+	track(bigW > cfg.BigPowerEmergencyW, &t.overBigS, &t.underBigS)
+	track(littleW > cfg.LittlePowerEmergencyW, &t.overLittleS, &t.underLittleS)
+	track(forced || b.tempC > cfg.TempEmergencyC, &t.overTempS, &t.underTempS)
 
-	hold := t.cfg.EmergencyHold.Seconds()
-	release := t.cfg.EmergencyReleaseDelay.Seconds()
-	hystBig := t.cfg.BigPowerEmergencyW * (1 - t.cfg.EmergencyHysteresisPct)
-	hystLittle := t.cfg.LittlePowerEmergencyW * (1 - t.cfg.EmergencyHysteresisPct)
-	hystTemp := t.cfg.TempEmergencyC - 2
-
-	if t.sinceStepS < t.cfg.EmergencyStepPeriod.Seconds() {
+	if t.sinceStepS < t.stepPeriod {
 		return
 	}
 	t.sinceStepS = 0
+	hystBig := cfg.BigPowerEmergencyW * (1 - cfg.EmergencyHysteresisPct)
+	hystLittle := cfg.LittlePowerEmergencyW * (1 - cfg.EmergencyHysteresisPct)
+	hystTemp := cfg.TempEmergencyC - 2
 
 	// While a sustained violation persists, the firmware steps the cap down
 	// two levels per step period; after the signal has stayed below the
@@ -75,34 +76,34 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
 	// (Fig. 10(b)) while leaving well-behaved controllers alone.
 	// Big-cluster power emergency.
 	switch {
-	case t.overBigS >= hold:
+	case t.overBigS >= t.hold:
 		if !t.engagedBig {
 			t.engagedBig = true
 			t.events++
 		}
-		t.bigCap = math.Max(t.cfg.Big.FreqMinGHz,
-			math.Min(t.bigCap, b.EffectiveBigFreq())-2*t.cfg.Big.FreqStepGHz)
-	case t.engagedBig && t.underBigS >= release && bigW < hystBig:
-		t.bigCap += t.cfg.Big.FreqStepGHz
-		if t.bigCap >= t.cfg.Big.FreqMaxGHz {
-			t.bigCap = t.cfg.Big.FreqMaxGHz
+		t.bigCap = math.Max(cfg.Big.FreqMinGHz,
+			math.Min(t.bigCap, b.EffectiveBigFreq())-2*cfg.Big.FreqStepGHz)
+	case t.engagedBig && t.underBigS >= t.release && bigW < hystBig:
+		t.bigCap += cfg.Big.FreqStepGHz
+		if t.bigCap >= cfg.Big.FreqMaxGHz {
+			t.bigCap = cfg.Big.FreqMaxGHz
 			t.engagedBig = false
 		}
 	}
 
 	// Little-cluster power emergency.
 	switch {
-	case t.overLittleS >= hold:
+	case t.overLittleS >= t.hold:
 		if !t.engagedLittle {
 			t.engagedLittle = true
 			t.events++
 		}
-		t.littleCap = math.Max(t.cfg.Little.FreqMinGHz,
-			math.Min(t.littleCap, b.EffectiveLittleFreq())-2*t.cfg.Little.FreqStepGHz)
-	case t.engagedLittle && t.underLittleS >= release && littleW < hystLittle:
-		t.littleCap += t.cfg.Little.FreqStepGHz
-		if t.littleCap >= t.cfg.Little.FreqMaxGHz {
-			t.littleCap = t.cfg.Little.FreqMaxGHz
+		t.littleCap = math.Max(cfg.Little.FreqMinGHz,
+			math.Min(t.littleCap, b.EffectiveLittleFreq())-2*cfg.Little.FreqStepGHz)
+	case t.engagedLittle && t.underLittleS >= t.release && littleW < hystLittle:
+		t.littleCap += cfg.Little.FreqStepGHz
+		if t.littleCap >= cfg.Little.FreqMaxGHz {
+			t.littleCap = cfg.Little.FreqMaxGHz
 			t.engagedLittle = false
 		}
 	}
@@ -110,17 +111,17 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
 	// Thermal emergency: caps the big cluster hard (the A15s dominate the
 	// hot spot on the XU3).
 	switch {
-	case t.overTempS >= hold:
+	case t.overTempS >= t.hold:
 		if !t.engagedTemp {
 			t.engagedTemp = true
 			t.events++
 		}
-		t.bigCap = math.Max(t.cfg.Big.FreqMinGHz,
-			math.Min(t.bigCap, b.EffectiveBigFreq())-3*t.cfg.Big.FreqStepGHz)
-	case t.engagedTemp && t.underTempS >= release && b.tempC < hystTemp:
-		t.bigCap += t.cfg.Big.FreqStepGHz
-		if t.bigCap >= t.cfg.Big.FreqMaxGHz {
-			t.bigCap = t.cfg.Big.FreqMaxGHz
+		t.bigCap = math.Max(cfg.Big.FreqMinGHz,
+			math.Min(t.bigCap, b.EffectiveBigFreq())-3*cfg.Big.FreqStepGHz)
+	case t.engagedTemp && t.underTempS >= t.release && b.tempC < hystTemp:
+		t.bigCap += cfg.Big.FreqStepGHz
+		if t.bigCap >= cfg.Big.FreqMaxGHz {
+			t.bigCap = cfg.Big.FreqMaxGHz
 			t.engagedTemp = false
 		}
 	}
