@@ -187,7 +187,7 @@ func (p *Platform) quantaFor(cols []int) []float64 {
 // Table II with the given designer knobs (without the Fig. 3 validation
 // stage; see SynthesizeHWSSVValidated).
 func (p *Platform) SynthesizeHWSSV(hp HWParams) (*robust.Controller, error) {
-	return p.synthesizeHWSSVAt(hp, 0)
+	return robust.Synthesize(p.hwSpec(hp, 0))
 }
 
 // DesignHWAtPenalty synthesizes a single hardware-controller candidate at a
@@ -196,12 +196,7 @@ func (p *Platform) DesignHWAtPenalty(hp HWParams, rho float64) (*robust.Controll
 	return robust.DesignAtPenalty(p.hwSpec(hp, 0), rho)
 }
 
-// synthesizeHWSSVAt synthesizes with an explicit penalty floor.
-func (p *Platform) synthesizeHWSSVAt(hp HWParams, minPenalty float64) (*robust.Controller, error) {
-	return robust.Synthesize(p.hwSpec(hp, minPenalty))
-}
-
-// hwSpec builds the Table II specification.
+// hwSpec builds the Table II specification with the given penalty floor.
 func (p *Platform) hwSpec(hp HWParams, minPenalty float64) *robust.Spec {
 	return &robust.Spec{
 		Plant:       p.HW,
@@ -227,12 +222,12 @@ func (p *Platform) hwSpec(hp HWParams, minPenalty float64) *robust.Spec {
 // SynthesizeOSSSV runs the SSV design loop for the software controller of
 // Table III (without the Fig. 3 validation stage).
 func (p *Platform) SynthesizeOSSSV(op OSParams) (*robust.Controller, error) {
-	return p.synthesizeOSSSVAt(op, 0)
+	return robust.Synthesize(p.osSpec(op, 0))
 }
 
-// synthesizeOSSSVAt synthesizes with an explicit penalty floor.
-func (p *Platform) synthesizeOSSSVAt(op OSParams, minPenalty float64) (*robust.Controller, error) {
-	spec := &robust.Spec{
+// osSpec builds the Table III specification with the given penalty floor.
+func (p *Platform) osSpec(op OSParams, minPenalty float64) *robust.Spec {
+	return &robust.Spec{
 		Plant:        p.OS,
 		NumControls:  3,
 		InputWeights: []float64{op.InputWeight, op.InputWeight, op.InputWeight},
@@ -244,7 +239,6 @@ func (p *Platform) synthesizeOSSSVAt(op OSParams, minPenalty float64) (*robust.C
 		TargetScales: []float64{0.1, 0.15, 0.1},
 		MinPenalty:   minPenalty,
 	}
-	return robust.Synthesize(spec)
 }
 
 // HWControllerValidated returns the cached validated hardware controller

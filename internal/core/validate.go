@@ -61,16 +61,28 @@ func (p *Platform) hwValidationScore(ctl *robust.Controller) (exd float64, emerg
 // controller: synthesize candidates along the penalty ladder, validate each
 // on the (simulated) board, and keep the best-measured design.
 func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, error) {
-	var best *robust.Controller
+	return validateLadder("HW", func(pen float64) *robust.Spec { return p.hwSpec(hp, pen) },
+		p.hwValidationScore)
+}
+
+// validateLadder synthesizes a candidate at each validation penalty, scores
+// each with the given validation run, and keeps the best-measured one among
+// those within the firmware-intervention budget (the last synthesized one
+// when none is). Only the kept design's μ lower bound is ever read, so it
+// alone pays for one: the candidates are synthesized without it.
+func validateLadder(layer string, spec func(minPenalty float64) *robust.Spec,
+	score func(*robust.Controller) (exd float64, emergencies int, err error)) (*robust.Controller, error) {
+	var best, fallback *robust.Controller
+	var bestSpec, fallbackSpec *robust.Spec
 	bestScore := math.Inf(1)
-	var fallback *robust.Controller
 	for _, pen := range validationPenalties {
-		ctl, err := p.synthesizeHWSSVAt(hp, pen)
+		s := spec(pen)
+		ctl, err := robust.SynthesizeWithoutLower(s)
 		if err != nil {
 			continue
 		}
-		fallback = ctl
-		exd, emg, err := p.hwValidationScore(ctl)
+		fallback, fallbackSpec = ctl, s
+		exd, emg, err := score(ctl)
 		if err != nil {
 			continue
 		}
@@ -78,15 +90,16 @@ func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, er
 			continue
 		}
 		if exd < bestScore {
-			best, bestScore = ctl, exd
+			best, bestSpec, bestScore = ctl, s, exd
 		}
 	}
 	if best == nil {
 		if fallback == nil {
-			return nil, fmt.Errorf("core: HW SSV validated synthesis failed at every penalty")
+			return nil, fmt.Errorf("core: %s SSV validated synthesis failed at every penalty", layer)
 		}
-		return fallback, nil
+		best, bestSpec = fallback, fallbackSpec
 	}
+	robust.FillSSVLower(bestSpec, best)
 	return best, nil
 }
 
@@ -130,31 +143,6 @@ func (p *Platform) osValidationScore(ctl, hwCtl *robust.Controller) (exd float64
 // SynthesizeOSSSVValidated runs the full design flow for the software
 // controller against an already-validated hardware controller.
 func (p *Platform) SynthesizeOSSSVValidated(op OSParams, hwCtl *robust.Controller) (*robust.Controller, error) {
-	var best *robust.Controller
-	bestScore := math.Inf(1)
-	var fallback *robust.Controller
-	for _, pen := range validationPenalties {
-		ctl, err := p.synthesizeOSSSVAt(op, pen)
-		if err != nil {
-			continue
-		}
-		fallback = ctl
-		exd, emg, err := p.osValidationScore(ctl, hwCtl)
-		if err != nil {
-			continue
-		}
-		if emg > maxValidationEmergencies {
-			continue
-		}
-		if exd < bestScore {
-			best, bestScore = ctl, exd
-		}
-	}
-	if best == nil {
-		if fallback == nil {
-			return nil, fmt.Errorf("core: OS SSV validated synthesis failed at every penalty")
-		}
-		return fallback, nil
-	}
-	return best, nil
+	return validateLadder("OS", func(pen float64) *robust.Spec { return p.osSpec(op, pen) },
+		func(ctl *robust.Controller) (float64, int, error) { return p.osValidationScore(ctl, hwCtl) })
 }

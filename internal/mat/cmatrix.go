@@ -217,49 +217,98 @@ func CInverse(a *CMatrix) (*CMatrix, error) {
 	return CSolve(a, CIdentity(a.rows))
 }
 
+// AllFinite reports whether every entry of m has a finite real and
+// imaginary part.
+func (m *CMatrix) AllFinite() bool {
+	for _, v := range m.data {
+		if math.IsNaN(real(v)) || math.IsInf(real(v), 0) || math.IsNaN(imag(v)) || math.IsInf(imag(v), 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // CMaxSingularValue returns the largest singular value of the complex matrix
 // m, computed by power iteration on m^H m. For the small matrices used here
-// (dimension < 50) this converges in a handful of iterations.
+// (dimension < 50) this converges in a handful of iterations. A matrix with
+// a non-finite entry has no finite largest singular value: the result is
+// +Inf.
 func CMaxSingularValue(m *CMatrix) float64 {
+	var ws SVWork
+	return ws.MaxSingularValue(m, math.Inf(1))
+}
+
+// SVWork holds the buffers of the σ_max power iteration, so that repeated
+// evaluations on same-sized matrices (the D-scaling descent of the μ upper
+// bound) allocate nothing once the buffers have grown. The zero value is
+// ready to use; an SVWork must not be shared between goroutines.
+type SVWork struct {
+	h    []complex128 // m^H m, row-major
+	v, w []complex128 // current and next iterate
+}
+
+// grow returns buf resliced to n entries, reallocating only when its
+// capacity is short.
+func grow(buf []complex128, n int) []complex128 {
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
+}
+
+// MaxSingularValue returns CMaxSingularValue(m), bit for bit, except that
+// it gives up as soon as the running estimate reaches stop and returns that
+// estimate instead. The estimate ‖H v‖ of the power iteration on the
+// Hermitian positive semidefinite H = m^H m never decreases (Cauchy–Schwarz:
+// ‖H v‖² = <v, H² v> ≤ ‖H² v‖ for unit v), so a result at or above stop
+// means σ_max(m) is at or above stop too, up to rounding. Pass +Inf to run
+// to convergence.
+func (ws *SVWork) MaxSingularValue(m *CMatrix, stop float64) float64 {
 	if m.rows == 0 || m.cols == 0 {
 		return 0
 	}
-	h := m.ConjT().Mul(m) // n×n Hermitian positive semidefinite
-	n := h.rows
+	if !m.AllFinite() {
+		return math.Inf(1)
+	}
+	// h = m^H m (n×n Hermitian positive semidefinite), accumulated in the
+	// order ConjT().Mul(m) uses, skipping the same zero entries.
+	n := m.cols
+	ws.h = grow(ws.h, n*n)
+	h := ws.h
+	for i := range h {
+		h[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		hrow := h[i*n : (i+1)*n]
+		for k := 0; k < m.rows; k++ {
+			mv := cmplx.Conj(m.data[k*m.cols+i])
+			if mv == 0 {
+				continue
+			}
+			for j, bv := range m.data[k*m.cols : (k+1)*m.cols] {
+				hrow[j] += mv * bv
+			}
+		}
+	}
 	// Deterministic start vector with nonzero projection on the dominant
-	// eigenvector in all but adversarial cases; perturb on stagnation.
-	v := make([]complex128, n)
+	// eigenvector in all but adversarial cases.
+	ws.v, ws.w = grow(ws.v, n), grow(ws.w, n)
+	v, w := ws.v, ws.w
 	for i := range v {
 		v[i] = complex(1+float64(i%3), float64(i%2))
 	}
-	normalize := func(v []complex128) float64 {
-		var s float64
-		for _, x := range v {
-			s += real(x)*real(x) + imag(x)*imag(x)
-		}
-		nrm := math.Sqrt(s)
-		if nrm == 0 {
-			return 0
-		}
-		for i := range v {
-			v[i] /= complex(nrm, 0)
-		}
-		return nrm
-	}
-	normalize(v)
+	normalizeC(v)
 	lambda := 0.0
 	for iter := 0; iter < 500; iter++ {
-		w := make([]complex128, n)
 		for i := 0; i < n; i++ {
 			var s complex128
-			row := h.data[i*n : (i+1)*n]
-			for j, hv := range row {
+			for j, hv := range h[i*n : (i+1)*n] {
 				s += hv * v[j]
 			}
 			w[i] = s
 		}
-		nl := normalize(w)
-		v = w
+		nl := normalizeC(w)
+		v, w = w, v
 		if nl == 0 {
 			return 0
 		}
@@ -268,6 +317,28 @@ func CMaxSingularValue(m *CMatrix) float64 {
 			break
 		}
 		lambda = nl
+		if s := math.Sqrt(nl); s >= stop {
+			return s
+		}
 	}
 	return math.Sqrt(lambda)
+}
+
+// normalizeC scales v to unit 2-norm in place and returns the norm it had
+// (0 leaves v untouched). Dividing the parts separately gives the bits
+// v[i] /= complex(nrm, 0) gives on every nonzero part: Go's Smith division
+// by a real divisor reduces to these two divisions.
+func normalizeC(v []complex128) float64 {
+	var s float64
+	for _, x := range v {
+		s += real(x)*real(x) + imag(x)*imag(x)
+	}
+	nrm := math.Sqrt(s)
+	if nrm == 0 {
+		return 0
+	}
+	for i, x := range v {
+		v[i] = complex(real(x)/nrm, imag(x)/nrm)
+	}
+	return nrm
 }

@@ -120,3 +120,50 @@ func TestConjTProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCMaxSingularValueNonFinite(t *testing.T) {
+	// A non-finite entry has no finite σ_max: +Inf at once, not NaN after
+	// the full iteration budget.
+	for _, bad := range []complex128{
+		complex(math.NaN(), 0), complex(0, math.NaN()),
+		complex(math.Inf(1), 0), complex(0, math.Inf(-1)),
+	} {
+		m := CIdentity(3)
+		m.Set(1, 2, bad)
+		if s := CMaxSingularValue(m); !math.IsInf(s, 1) {
+			t.Fatalf("sigma_max with entry %v = %v, want +Inf", bad, s)
+		}
+		var ws SVWork
+		if s := ws.MaxSingularValue(m, 1); !math.IsInf(s, 1) {
+			t.Fatalf("workspace sigma_max with entry %v = %v, want +Inf", bad, s)
+		}
+	}
+}
+
+func TestSVWorkStopsOnlyAboveStop(t *testing.T) {
+	// Stopping early returns an estimate at or above stop, and never a value
+	// above σ_max; a stop above σ_max changes nothing.
+	rng := rand.New(rand.NewSource(5))
+	var ws SVWork
+	for trial := 0; trial < 50; trial++ {
+		m := randCMatrix(rng, 1+rng.Intn(8), 1+rng.Intn(8))
+		full := CMaxSingularValue(m)
+		if got := ws.MaxSingularValue(m, 2*full); got != full {
+			t.Fatalf("trial %d: stop above sigma_max gave %v, want %v", trial, got, full)
+		}
+		stop := 0.5 * full
+		if got := ws.MaxSingularValue(m, stop); got < stop || got > full*(1+1e-12) {
+			t.Fatalf("trial %d: early stop at %v returned %v (sigma_max %v)", trial, stop, got, full)
+		}
+	}
+}
+
+// BenchmarkCMaxSingularValue times one σ_max of a seeded 12×12 complex
+// matrix, the order of the hardware layer's Δ block.
+func BenchmarkCMaxSingularValue(b *testing.B) {
+	m := randCMatrix(rand.New(rand.NewSource(1)), 12, 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CMaxSingularValue(m)
+	}
+}

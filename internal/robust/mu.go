@@ -17,7 +17,8 @@ import (
 //
 // The minimization starts from the Perron-based scaling (optimal for
 // nonnegative matrices) and is refined with cyclic coordinate descent on the
-// diagonal entries of D.
+// diagonal entries of D. A matrix with a non-finite entry gets +Inf: no
+// scaling bounds its gain.
 func MuUpperBound(m *mat.CMatrix) float64 {
 	n := m.Rows()
 	if n != m.Cols() {
@@ -28,18 +29,23 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 	if n == 0 {
 		return 0
 	}
+	if !m.AllFinite() {
+		return math.Inf(1)
+	}
 	if n == 1 {
 		return cmplx.Abs(m.At(0, 0))
 	}
 	// Perron initialization on |M|: D_i = sqrt(u_i / v_i) where u, v are the
 	// left and right Perron vectors of the elementwise absolute value.
-	absM := mat.Zeros(n, n)
+	absM, absT := mat.Zeros(n, n), mat.Zeros(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			absM.Set(i, j, cmplx.Abs(m.At(i, j)))
+			a := cmplx.Abs(m.At(i, j))
+			absM.Set(i, j, a)
+			absT.Set(j, i, a)
 		}
 	}
-	u := perronVector(absM.T())
+	u := perronVector(absT)
 	v := perronVector(absM)
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -49,33 +55,37 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 			d[i] = math.Sqrt(u[i] / v[i])
 		}
 	}
-	scaled := func(d []float64) float64 {
-		dm := m.Clone()
+	// Every σ_max evaluation reuses one scaled matrix and one workspace.
+	dm := mat.CZeros(n, n)
+	var ws mat.SVWork
+	scaled := func(d []float64, stop float64) float64 {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				dm.Set(i, j, dm.At(i, j)*complex(d[i]/d[j], 0))
+				dm.Set(i, j, m.At(i, j)*complex(d[i]/d[j], 0))
 			}
 		}
-		return mat.CMaxSingularValue(dm)
+		return ws.MaxSingularValue(dm, stop)
 	}
-	best := scaled(d)
-	if plain := mat.CMaxSingularValue(m); plain < best {
+	best := scaled(d, math.Inf(1))
+	if plain := ws.MaxSingularValue(m, math.Inf(1)); plain < best {
 		// Identity scaling is sometimes better than Perron for complex M.
 		for i := range d {
 			d[i] = 1
 		}
 		best = plain
 	}
-	// Cyclic coordinate descent with multiplicative steps.
+	// Cyclic coordinate descent with multiplicative steps. A trial is kept
+	// only if it beats best by 1e-12; one whose running σ_max estimate has
+	// reached rejectLevel(best) cannot, so its power iteration stops there.
+	trial := make([]float64, n)
 	step := 1.5
 	for pass := 0; pass < 30 && step > 1.001; pass++ {
 		improved := false
 		for i := 0; i < n; i++ {
-			for _, f := range []float64{step, 1 / step} {
-				trial := make([]float64, n)
+			for _, f := range [2]float64{step, 1 / step} {
 				copy(trial, d)
 				trial[i] *= f
-				if s := scaled(trial); s < best-1e-12 {
+				if s := scaled(trial, rejectLevel(best)); s < best-1e-12 {
 					best = s
 					copy(d, trial)
 					improved = true
@@ -89,6 +99,13 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 	return best
 }
 
+// rejectLevel is the running σ_max estimate at which a descent trial against
+// the incumbent best is certain to fail the s < best−1e-12 acceptance test.
+// The estimate never decreases in exact arithmetic; the 1e-9·best margin
+// absorbs the rounding of a converging iteration, so every trial that
+// would be accepted still runs to the value it always had.
+func rejectLevel(best float64) float64 { return best - 1e-12 + 1e-9*best }
+
 // perronVector returns the (entrywise nonnegative) dominant eigenvector of a
 // nonnegative matrix via power iteration, normalized to unit 1-norm.
 func perronVector(a *mat.Matrix) []float64 {
@@ -97,8 +114,9 @@ func perronVector(a *mat.Matrix) []float64 {
 	for i := range v {
 		v[i] = 1
 	}
+	w := make([]float64, n)
 	for iter := 0; iter < 200; iter++ {
-		w := a.MulVec(v)
+		w = a.MulVecTo(w, v)
 		var s float64
 		for _, x := range w {
 			s += math.Abs(x)
@@ -111,7 +129,7 @@ func perronVector(a *mat.Matrix) []float64 {
 			w[i] /= s
 			diff += math.Abs(w[i] - v[i])
 		}
-		v = w
+		v, w = w, v
 		if diff < 1e-13 {
 			break
 		}
@@ -132,19 +150,33 @@ func SystemMu(sys *lti.StateSpace, nGrid int) (float64, error) {
 // singular value of sys over the unit circle (the pair MATLAB's mussv
 // reports). The lower bound is skipped (returned as 0) unless withLower is
 // set, since the power iteration is several times more expensive than the
-// upper bound.
+// upper bound. A non-finite response or μ at any grid point makes the upper
+// bound +Inf, so such a system is never certified robust.
 func SystemMuBounds(sys *lti.StateSpace, nGrid int, withLower bool) (lo, hi float64, err error) {
+	return sweepMu(sys, nGrid, true, withLower)
+}
+
+// sweepMu evaluates the requested μ bounds of sys on the frequency grid
+// (an unrequested bound is returned as 0).
+func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, err error) {
 	if nGrid < 8 {
 		nGrid = 8
 	}
 	for i := 0; i <= nGrid; i++ {
 		theta := math.Pi * float64(i) / float64(nGrid)
 		g, err := sys.Evaluate(cmplx.Exp(complex(0, theta)))
-		if err != nil {
-			return math.Inf(1), math.Inf(1), nil // pole on the unit circle
+		if err != nil || !g.AllFinite() {
+			// A pole on the unit circle, or a response with no finite gain.
+			return math.Inf(1), math.Inf(1), nil
 		}
-		if v := MuUpperBound(g); v > hi {
-			hi = v
+		if withUpper {
+			v := MuUpperBound(g)
+			if math.IsNaN(v) {
+				v = math.Inf(1) // σ_max overflowed on a huge finite response
+			}
+			if v > hi {
+				hi = v
+			}
 		}
 		if withLower {
 			if v := MuLowerBound(g); v > lo {

@@ -150,3 +150,89 @@ func TestMuUnitaryDiagonalInvariance(t *testing.T) {
 		t.Fatalf("mu not phase invariant: %v vs %v", mu1, mu2)
 	}
 }
+
+func TestMuUpperBoundNonFinite(t *testing.T) {
+	// A non-finite entry means unbounded gain: +Inf at once, for scalars and
+	// for matrices (the seed returned NaN after every trial's full budget).
+	for _, n := range []int{1, 3} {
+		for _, bad := range []complex128{
+			complex(math.NaN(), 0), complex(0, math.NaN()),
+			complex(math.Inf(1), 0), complex(0, math.Inf(-1)),
+		} {
+			m := mat.CIdentity(n)
+			m.Set(n-1, 0, bad)
+			if mu := MuUpperBound(m); !math.IsInf(mu, 1) {
+				t.Fatalf("n=%d entry %v: mu upper bound %v, want +Inf", n, bad, mu)
+			}
+		}
+	}
+}
+
+// nonFiniteSystem is a stable 2×2 system whose frequency response entry
+// (0,0) is driven to d00 through D.
+func nonFiniteSystem(t *testing.T, d00 float64) *lti.StateSpace {
+	t.Helper()
+	sys, err := lti.NewStateSpace(mat.Diag([]float64{0.5, -0.3}), mat.Identity(2),
+		mat.Identity(2), mat.FromRows([][]float64{{d00, 0.1}, {0, 0.2}}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+func TestSystemMuNonFiniteResponseNotCertified(t *testing.T) {
+	// A NaN in the response used to slip past the running maximum and
+	// report lo = hi = 0, certifying the system as robust. A finite but huge
+	// response overflows σ_max to NaN, which must not slip past either.
+	for _, d00 := range []float64{math.NaN(), math.Inf(1), 1e200} {
+		_, hi, err := SystemMuBounds(nonFiniteSystem(t, d00), 16, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(hi, 1) {
+			t.Fatalf("D[0][0]=%v: system mu upper bound %v, want +Inf", d00, hi)
+		}
+		if mu, _ := SystemMu(nonFiniteSystem(t, d00), 16); !math.IsInf(mu, 1) {
+			t.Fatalf("D[0][0]=%v: SystemMu %v, want +Inf", d00, mu)
+		}
+	}
+}
+
+func TestMuUpperBoundAllocsIndependentOfPasses(t *testing.T) {
+	// A diagonal matrix is optimally scaled from the start and its descent
+	// only shrinks the step; a badly scaled dense matrix accepts steps for
+	// many more passes. Both allocate the same few buffers once.
+	diag := mat.CZeros(12, 12)
+	for i := 0; i < 12; i++ {
+		diag.Set(i, i, complex(float64(i+1), 1))
+	}
+	rng := rand.New(rand.NewSource(9))
+	dense := randC(rng, 12)
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			dense.Set(i, j, dense.At(i, j)*complex(math.Pow(10, float64(i-j)/3), 0))
+		}
+	}
+	allocs := func(m *mat.CMatrix, mu func(*mat.CMatrix) float64) float64 {
+		return testing.AllocsPerRun(3, func() { mu(m) })
+	}
+	// The reference allocates per trial, so it tells the cases apart.
+	if allocs(diag, refMuUpperBound) >= allocs(dense, refMuUpperBound) {
+		t.Fatal("test matrices do not differ in descent work")
+	}
+	quick, slow := allocs(diag, MuUpperBound), allocs(dense, MuUpperBound)
+	if quick != slow || slow > 20 {
+		t.Fatalf("MuUpperBound allocates %v times on the diagonal matrix and %v on the dense one; want the same small constant", quick, slow)
+	}
+}
+
+// BenchmarkMuUpperBound times one μ upper bound of a seeded 12×12 complex
+// matrix, the order of the hardware layer's Δ block (4 guardband, 4 effort
+// and 4 performance channels).
+func BenchmarkMuUpperBound(b *testing.B) {
+	m := randC(rand.New(rand.NewSource(1)), 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MuUpperBound(m)
+	}
+}

@@ -168,8 +168,22 @@ func (s *Spec) resolveTargetScales() []float64 {
 // candidate whose SSV is at most 1. If no candidate is robust, the best
 // candidate is returned along with the (degraded) bounds it can guarantee —
 // the behaviour the paper describes when the designer's Δ/B/W are too
-// demanding.
+// demanding. A robust candidate's report also carries the μ lower bound
+// (SSVLower).
 func Synthesize(spec *Spec) (*Controller, error) {
+	ctl, err := SynthesizeWithoutLower(spec)
+	if err != nil {
+		return nil, err
+	}
+	FillSSVLower(spec, ctl)
+	return ctl, nil
+}
+
+// SynthesizeWithoutLower is Synthesize without the μ lower bound: it
+// returns the same controller with Report.SSVLower left 0. A design flow
+// that synthesizes several candidates and keeps one (the validation stage
+// of paper Fig. 3) calls FillSSVLower on the kept one only.
+func SynthesizeWithoutLower(spec *Spec) (*Controller, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -230,11 +244,6 @@ func Synthesize(spec *Spec) (*Controller, error) {
 		}
 		if ssv <= 1 {
 			cand.Report.Iterations = iters
-			if cl, err := buildClosedLoop(spec, k, tScales); err == nil {
-				if lo, _, err := SystemMuBounds(cl, 24, true); err == nil {
-					cand.Report.SSVLower = lo
-				}
-			}
 			return cand, nil
 		}
 		rho *= 2
@@ -244,6 +253,22 @@ func Synthesize(spec *Spec) (*Controller, error) {
 	}
 	bestCtl.Report.Iterations = iters
 	return bestCtl, nil
+}
+
+// FillSSVLower sets ctl.Report.SSVLower, the peak μ lower bound of its
+// closed loop, when ctl is certified robust (SSV <= 1); ctl must come from
+// SynthesizeWithoutLower(spec). An uncertified design, or one whose closed
+// loop cannot be formed, keeps 0.
+func FillSSVLower(spec *Spec, ctl *Controller) {
+	if !(ctl.Report.SSV <= 1) {
+		return
+	}
+	cl, err := buildClosedLoop(spec, ctl.K, spec.resolveTargetScales())
+	if err != nil {
+		return
+	}
+	// The upper bound is already in the report: sweep the lower one alone.
+	ctl.Report.SSVLower, _, _ = sweepMu(cl, 24, false, true)
 }
 
 // DesignAtPenalty synthesizes a single SSV candidate at the given control
