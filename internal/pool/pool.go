@@ -1,7 +1,8 @@
 // Package pool is the bounded worker pool shared by the experiment harness
-// (fan-out over independent runs) and the fleet runner (fan-out over boards
-// inside one lockstep control interval). It was extracted from internal/exp
-// so internal/core could reuse it without an import cycle.
+// (fan-out over independent runs), the fleet runner (fan-out over boards
+// inside one lockstep control interval) and the μ frequency sweep of
+// internal/robust (fan-out over grid points). It was extracted from
+// internal/exp so internal/core could reuse it without an import cycle.
 //
 // The pool preserves the harness's determinism contract: jobs are identified
 // by index, callers write results into index i of a preallocated slice, and
@@ -16,8 +17,9 @@ import (
 	"yukta/internal/obs"
 )
 
-// ForEach runs fn(0) … fn(n-1) on up to workers goroutines and waits for all
-// of them. workers <= 1 runs the jobs sequentially on the calling goroutine.
+// ForEach runs fn(0) … fn(n-1) on up to workers goroutines, the calling
+// goroutine among them, and waits for all of them. workers <= 1 runs the
+// jobs sequentially on the calling goroutine.
 // After any failure the remaining unstarted jobs are skipped, and the
 // lowest-index error is returned.
 func ForEach(workers, n int, fn func(i int) error) error {
@@ -55,34 +57,37 @@ func ForEachMetered(workers, n int, m *obs.Registry, fn func(i int) error) error
 		}
 		return nil
 	}
-	jobs := make(chan int)
-	errs := make([]error, n)
+	// Workers claim the next unclaimed index themselves; the caller is one
+	// of them, so no goroutine merely hands out work.
+	var next atomic.Int64
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue
-				}
-				if err := run(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
+	var mu sync.Mutex
+	errAt, firstErr := n, error(nil)
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			if err := run(i); err != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, firstErr = i, err
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
 		}
 	}
-	return nil
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return firstErr
 }

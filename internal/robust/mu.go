@@ -1,11 +1,14 @@
 package robust
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
+	"runtime"
 
 	"yukta/internal/lti"
 	"yukta/internal/mat"
+	"yukta/internal/pool"
 )
 
 // MuUpperBound returns an upper bound on the structured singular value μ(M)
@@ -156,32 +159,56 @@ func SystemMuBounds(sys *lti.StateSpace, nGrid int, withLower bool) (lo, hi floa
 	return sweepMu(sys, nGrid, true, withLower)
 }
 
+// errNotFinite marks a grid point whose response has no finite gain; it
+// stops the sweep's unstarted points.
+var errNotFinite = errors.New("robust: frequency response not finite")
+
 // sweepMu evaluates the requested μ bounds of sys on the frequency grid
-// (an unrequested bound is returned as 0).
+// (an unrequested bound is returned as 0; a requested one is +Inf when any
+// grid point's response is not finite). The grid points are independent
+// and run on up to GOMAXPROCS goroutines, each writing its own slot; the
+// caller then reduces the slots in index order. A maximum does not depend
+// on the order its terms arrive in, so the bounds are bit-identical at any
+// worker count (DESIGN.md §15).
 func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, err error) {
 	if nGrid < 8 {
 		nGrid = 8
 	}
-	for i := 0; i <= nGrid; i++ {
+	type bounds struct{ lo, hi float64 }
+	pts := make([]bounds, nGrid+1)
+	if pool.ForEach(runtime.GOMAXPROCS(0), len(pts), func(i int) error {
 		theta := math.Pi * float64(i) / float64(nGrid)
 		g, err := sys.Evaluate(cmplx.Exp(complex(0, theta)))
 		if err != nil || !g.AllFinite() {
 			// A pole on the unit circle, or a response with no finite gain.
-			return math.Inf(1), math.Inf(1), nil
+			return errNotFinite
 		}
 		if withUpper {
-			v := MuUpperBound(g)
-			if math.IsNaN(v) {
-				v = math.Inf(1) // σ_max overflowed on a huge finite response
-			}
-			if v > hi {
-				hi = v
-			}
+			pts[i].hi = MuUpperBound(g)
 		}
 		if withLower {
-			if v := MuLowerBound(g); v > lo {
-				lo = v
-			}
+			pts[i].lo = MuLowerBound(g)
+		}
+		return nil
+	}) != nil {
+		if withUpper {
+			hi = math.Inf(1)
+		}
+		if withLower {
+			lo = math.Inf(1)
+		}
+		return lo, hi, nil
+	}
+	for _, p := range pts {
+		v := p.hi
+		if math.IsNaN(v) {
+			v = math.Inf(1) // σ_max overflowed on a huge finite response
+		}
+		if v > hi {
+			hi = v
+		}
+		if p.lo > lo {
+			lo = p.lo
 		}
 	}
 	return lo, hi, nil

@@ -198,6 +198,26 @@ func TestSystemMuNonFiniteResponseNotCertified(t *testing.T) {
 	}
 }
 
+func TestSystemMuNonFiniteResponseUnrequestedBoundZero(t *testing.T) {
+	// A non-finite response used to return +Inf for both bounds, so an
+	// unrequested lower bound read +Inf, and FillSSVLower's upper-free sweep
+	// an upper bound of +Inf. Only a requested bound is +Inf.
+	for _, d00 := range []float64{math.NaN(), math.Inf(1), 1e200} {
+		if lo, _, _ := SystemMuBounds(nonFiniteSystem(t, d00), 16, false); lo != 0 {
+			t.Fatalf("D[0][0]=%v: unrequested lower bound %v, want 0", d00, lo)
+		}
+	}
+	for _, d00 := range []float64{math.NaN(), math.Inf(1)} {
+		lo, hi, err := sweepMu(nonFiniteSystem(t, d00), 24, false, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hi != 0 || !math.IsInf(lo, 1) {
+			t.Fatalf("D[0][0]=%v: lower-bound sweep gave (lo, hi) = (%v, %v), want (+Inf, 0)", d00, lo, hi)
+		}
+	}
+}
+
 func TestMuUpperBoundAllocsIndependentOfPasses(t *testing.T) {
 	// A diagonal matrix is optimally scaled from the start and its descent
 	// only shrinks the step; a badly scaled dense matrix accepts steps for
@@ -234,5 +254,23 @@ func BenchmarkMuUpperBound(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MuUpperBound(m)
+	}
+}
+
+// BenchmarkSystemMuBounds times the two μ sweeps the design flow runs on a
+// closed loop: the 49-point upper-bound sweep of every synthesis step and
+// the 25-point lower-bound sweep of the kept design. The system is a seeded
+// stable one of the hardware closed loop's shape (44 states, 12 Δ
+// channels); the grid points run on GOMAXPROCS workers.
+func BenchmarkSystemMuBounds(b *testing.B) {
+	sys := randStable(rand.New(rand.NewSource(1)), 44, 12, 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := SystemMuBounds(sys, 48, false); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := sweepMu(sys, 24, false, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"yukta/internal/lti"
 	"yukta/internal/mat"
 )
 
@@ -286,5 +288,149 @@ func TestEarlyStopDecisionMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, oracleConfig(3, 2000)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSweepMu is the sequential frequency sweep the synthesized controllers
+// were first certified with, kept verbatim. The production sweep evaluates
+// the grid points concurrently and reduces them afterwards; that may not
+// change a bit of a bound. (On a non-finite response this copy also returns
+// +Inf for an unrequested bound; the production sweep returns 0 there, as
+// documented.)
+func refSweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, err error) {
+	if nGrid < 8 {
+		nGrid = 8
+	}
+	for i := 0; i <= nGrid; i++ {
+		theta := math.Pi * float64(i) / float64(nGrid)
+		g, err := sys.Evaluate(cmplx.Exp(complex(0, theta)))
+		if err != nil || !g.AllFinite() {
+			// A pole on the unit circle, or a response with no finite gain.
+			return math.Inf(1), math.Inf(1), nil
+		}
+		if withUpper {
+			v := MuUpperBound(g)
+			if math.IsNaN(v) {
+				v = math.Inf(1) // σ_max overflowed on a huge finite response
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		if withLower {
+			if v := MuLowerBound(g); v > lo {
+				lo = v
+			}
+		}
+	}
+	return lo, hi, nil
+}
+
+// sweepCase is one μ sweep: a system, its grid and the requested bounds.
+type sweepCase struct {
+	sys                  *lti.StateSpace
+	nGrid                int
+	withUpper, withLower bool
+}
+
+// Generate implements quick.Generator: a random stable system of the
+// hardware closed loop's shape (44 states, 12 Δ channels) or the OS one's
+// (33 states, 9 channels), on a coarse grid, with one or both bounds.
+func (sweepCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	shape := [2][2]int{{44, 12}, {33, 9}}[r.Intn(2)]
+	c := sweepCase{sys: randStable(r, shape[0], shape[1], shape[1]), nGrid: 8 + r.Intn(3)}
+	switch r.Intn(3) {
+	case 0:
+		c.withUpper = true
+	case 1:
+		c.withLower = true
+	default:
+		c.withUpper, c.withLower = true, true
+	}
+	return reflect.ValueOf(c)
+}
+
+// sweepMatchesOracle reports whether sweepMu returns refSweepMu's bits at
+// GOMAXPROCS 1, 2 and 8, with an unrequested bound 0.
+func sweepMatchesOracle(t *testing.T, c sweepCase) bool {
+	t.Helper()
+	wantLo, wantHi, wantErr := refSweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
+	if !c.withUpper {
+		wantHi = 0
+	}
+	if !c.withLower {
+		wantLo = 0
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		lo, hi, err := sweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
+		runtime.GOMAXPROCS(prev)
+		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) || err != wantErr {
+			t.Logf("GOMAXPROCS %d, grid %d, upper %v, lower %v: got (%v, %v, %v), want (%v, %v, %v)",
+				procs, c.nGrid, c.withUpper, c.withLower, lo, hi, err, wantLo, wantHi, wantErr)
+			return false
+		}
+	}
+	return true
+}
+
+// TestSweepMuMatchesOracle asserts the concurrent sweep is bit-identical to
+// the sequential reference at any worker count.
+func TestSweepMuMatchesOracle(t *testing.T) {
+	count := 5
+	if testing.Short() {
+		count = 2
+	}
+	f := func(c sweepCase) bool { return sweepMatchesOracle(t, c) }
+	if err := quick.Check(f, oracleConfig(4, count)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// poleAtGridPoint is a stable 3×3 system but for a pole pair on the unit
+// circle at grid point k of nGrid, where its response is singular.
+func poleAtGridPoint(t *testing.T, k, nGrid int) *lti.StateSpace {
+	t.Helper()
+	s, c := math.Sincos(math.Pi * float64(k) / float64(nGrid))
+	a := mat.FromRows([][]float64{{c, -s, 0}, {s, c, 0}, {0, 0, 0.3}})
+	rng := rand.New(rand.NewSource(int64(k)))
+	fill := func() *mat.Matrix {
+		m := mat.Zeros(3, 3)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ {
+				m.Set(i, j, rng.NormFloat64())
+			}
+		}
+		return m
+	}
+	sys, err := lti.NewStateSpace(a, fill(), fill(), fill(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestSweepMuNonFiniteMatchesOracle covers the sweep's early exit: a
+// response that is singular at the first, a middle or the last grid point,
+// and a finite response so large that σ_max overflows. Every requested
+// bound must be +Inf, as in the reference.
+func TestSweepMuNonFiniteMatchesOracle(t *testing.T) {
+	var systems []sweepCase
+	for _, nGrid := range []int{24, 48} {
+		for _, k := range []int{0, nGrid / 2, nGrid} {
+			systems = append(systems, sweepCase{sys: poleAtGridPoint(t, k, nGrid), nGrid: nGrid})
+		}
+	}
+	systems = append(systems, sweepCase{sys: nonFiniteSystem(t, 1e200), nGrid: 24})
+	for _, c := range systems {
+		for _, req := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+			c.withUpper, c.withLower = req[0], req[1]
+			if _, hi, _ := refSweepMu(c.sys, c.nGrid, c.withUpper, c.withLower); c.withUpper && !math.IsInf(hi, 1) {
+				t.Fatalf("grid %d: the reference certified a system with a non-finite response (%v)", c.nGrid, hi)
+			}
+			if !sweepMatchesOracle(t, c) {
+				t.Fatal("concurrent sweep differs from the reference")
+			}
+		}
 	}
 }
