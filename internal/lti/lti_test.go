@@ -1,6 +1,7 @@
 package lti
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -350,5 +351,25 @@ func TestAppendBlockStructure(t *testing.T) {
 	gv, _ := ap.Evaluate(z)
 	if cmplx.Abs(gv.At(0, 1)) > 1e-12 || cmplx.Abs(gv.At(1, 0)) > 1e-12 {
 		t.Fatalf("append has cross coupling: %v", gv)
+	}
+}
+
+// TestNonFiniteAIsNotStable asserts a NaN or infinite A is neither Schur
+// stable nor accepted by the Lyapunov solver: its eigenvalues are rejected
+// with mat.ErrNotFinite instead of giving a spectral radius of 0 (NaN) or
+// never returning (Inf).
+func TestNonFiniteAIsNotStable(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := firstOrder(bad, 1, 1, 0)
+		if g.IsStable() {
+			t.Fatalf("a=%v reported stable", bad)
+		}
+		if _, err := g.SpectralRadius(); !errors.Is(err, mat.ErrNotFinite) {
+			t.Fatalf("a=%v: SpectralRadius error %v, want mat.ErrNotFinite", bad, err)
+		}
+		a := mat.FromRows([][]float64{{0.5, 0.1}, {bad, 0.2}})
+		if _, err := DiscreteLyapunov(a, mat.Identity(2)); err != ErrUnstable {
+			t.Fatalf("A with entry %v: DiscreteLyapunov error %v, want ErrUnstable", bad, err)
+		}
 	}
 }

@@ -11,56 +11,98 @@ import (
 // iteration budget.
 var ErrNoConvergence = errors.New("mat: iteration did not converge")
 
+// ErrNotFinite is returned when a matrix holds a NaN or infinite entry,
+// which has no meaningful spectrum.
+var ErrNotFinite = errors.New("mat: matrix has a non-finite entry")
+
 // Eigenvalues returns the eigenvalues of the square matrix a as complex
 // numbers, in no particular order. It uses balancing, Householder reduction
 // to upper Hessenberg form, and the Francis double-shift QR algorithm.
+// A NaN or infinite entry gives ErrNotFinite.
 func Eigenvalues(a *Matrix) ([]complex128, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: Eigenvalues of non-square %dx%d", a.rows, a.cols))
+	var ws EigWork
+	if err := ws.eigen(a); err != nil || a.rows == 0 {
+		return nil, err
 	}
-	n := a.rows
-	if n == 0 {
-		return nil, nil
+	out := make([]complex128, a.rows)
+	for i := range out {
+		out[i] = complex(ws.wr[i], ws.wi[i])
 	}
-	h := a.Clone()
-	balance(h)
-	hessenberg(h)
-	return hqr(h)
+	return out, nil
 }
 
 // SpectralRadius returns max |lambda_i| over the eigenvalues of a.
 func SpectralRadius(a *Matrix) (float64, error) {
-	eig, err := Eigenvalues(a)
-	if err != nil {
+	var ws EigWork
+	return ws.SpectralRadius(a)
+}
+
+// EigWork holds the buffers of an eigenvalue computation, so that repeated
+// spectral radii of same-sized matrices (the μ lower bound's certification
+// step) allocate nothing once the buffers have grown. The zero value is
+// ready to use; an EigWork must not be shared between goroutines.
+type EigWork struct {
+	h      []float64 // working copy of the matrix, row-major
+	wr, wi []float64 // real and imaginary parts of the eigenvalues
+}
+
+// SpectralRadius returns SpectralRadius(a), bit for bit, reusing the
+// workspace's buffers.
+func (ws *EigWork) SpectralRadius(a *Matrix) (float64, error) {
+	if err := ws.eigen(a); err != nil {
 		return 0, err
 	}
 	var r float64
-	for _, l := range eig {
-		if m := cmplx.Abs(l); m > r {
+	for i := range ws.wr {
+		if m := cmplx.Abs(complex(ws.wr[i], ws.wi[i])); m > r {
 			r = m
 		}
 	}
 	return r, nil
 }
 
-// balance applies the Parlett-Reinsch balancing procedure in place, scaling
-// rows and columns by powers of two so that their norms are comparable.
-// Balancing is a similarity transform, so eigenvalues are unchanged.
-func balance(a *Matrix) {
-	const radix = 2.0
+// eigen computes the eigenvalues of a into ws.wr and ws.wi, leaving a
+// untouched.
+func (ws *EigWork) eigen(a *Matrix) error {
+	if a.rows != a.cols {
+		panic(fmt.Sprintf("mat: Eigenvalues of non-square %dx%d", a.rows, a.cols))
+	}
+	for _, v := range a.data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return ErrNotFinite
+		}
+	}
 	n := a.rows
+	ws.h = grow(ws.h, n*n)
+	ws.wr, ws.wi = grow(ws.wr, n), grow(ws.wi, n)
+	copy(ws.h, a.data)
+	balance(ws.h, n)
+	hessenberg(ws.h, n)
+	return hqr(ws.h, n, ws.wr, ws.wi)
+}
+
+// balance applies the Parlett-Reinsch balancing procedure in place to the
+// row-major n×n matrix d, scaling rows and columns by powers of two so that
+// their norms are comparable. Balancing is a similarity transform, so
+// eigenvalues are unchanged.
+func balance(d []float64, n int) {
+	const radix = 2.0
 	sqrdx := radix * radix
 	for done := false; !done; {
 		done = true
 		for i := 0; i < n; i++ {
 			var r, c float64
+			row := d[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				if j != i {
-					c += math.Abs(a.At(j, i))
-					r += math.Abs(a.At(i, j))
+					c += math.Abs(d[j*n+i])
+					r += math.Abs(row[j])
 				}
 			}
-			if c == 0 || r == 0 {
+			// A zero norm needs no scaling. An infinite one (finite entries
+			// whose sum overflows) cannot be balanced: scaling never makes
+			// it comparable, and dividing an infinite c would not end.
+			if c == 0 || r == 0 || math.IsInf(c, 1) || math.IsInf(r, 1) {
 				continue
 			}
 			g := r / radix
@@ -78,78 +120,72 @@ func balance(a *Matrix) {
 			if (c+r)/f < 0.95*s {
 				done = false
 				g = 1 / f
-				for j := 0; j < n; j++ {
-					a.Set(i, j, a.At(i, j)*g)
+				for j := range row {
+					row[j] *= g
 				}
 				for j := 0; j < n; j++ {
-					a.Set(j, i, a.At(j, i)*f)
+					d[j*n+i] *= f
 				}
 			}
 		}
 	}
 }
 
-// hessenberg reduces a to upper Hessenberg form in place using stabilized
-// elementary similarity transformations (Gaussian elimination with pivoting).
-func hessenberg(a *Matrix) {
-	n := a.rows
+// hessenberg reduces the row-major n×n matrix d to upper Hessenberg form in
+// place using stabilized elementary similarity transformations (Gaussian
+// elimination with pivoting).
+func hessenberg(d []float64, n int) {
 	for m := 1; m < n-1; m++ {
 		var x float64
 		i := m
 		for j := m; j < n; j++ {
-			if math.Abs(a.At(j, m-1)) > math.Abs(x) {
-				x = a.At(j, m-1)
+			if math.Abs(d[j*n+m-1]) > math.Abs(x) {
+				x = d[j*n+m-1]
 				i = j
 			}
 		}
+		rowM := d[m*n : (m+1)*n]
 		if i != m {
+			rowI := d[i*n : (i+1)*n]
 			for j := m - 1; j < n; j++ {
-				v := a.At(i, j)
-				a.Set(i, j, a.At(m, j))
-				a.Set(m, j, v)
+				rowI[j], rowM[j] = rowM[j], rowI[j]
 			}
 			for j := 0; j < n; j++ {
-				v := a.At(j, i)
-				a.Set(j, i, a.At(j, m))
-				a.Set(j, m, v)
+				d[j*n+i], d[j*n+m] = d[j*n+m], d[j*n+i]
 			}
 		}
 		if x != 0 {
 			for i := m + 1; i < n; i++ {
-				y := a.At(i, m-1)
+				rowI := d[i*n : (i+1)*n]
+				y := rowI[m-1]
 				if y == 0 {
 					continue
 				}
 				y /= x
-				a.Set(i, m-1, y)
+				rowI[m-1] = y
 				for j := m; j < n; j++ {
-					a.Set(i, j, a.At(i, j)-y*a.At(m, j))
+					rowI[j] -= y * rowM[j]
 				}
 				for j := 0; j < n; j++ {
-					a.Set(j, m, a.At(j, m)+y*a.At(j, i))
+					d[j*n+m] += y * d[j*n+i]
 				}
 			}
 		}
 	}
 	// Zero the entries below the first subdiagonal (they hold multipliers).
 	for i := 2; i < n; i++ {
-		for j := 0; j < i-1; j++ {
-			a.Set(i, j, 0)
-		}
+		clear(d[i*n : i*n+i-1])
 	}
 }
 
-// hqr finds all eigenvalues of an upper Hessenberg matrix using the Francis
-// double-shift QR algorithm (Numerical Recipes' hqr).
-func hqr(a *Matrix) ([]complex128, error) {
-	n := a.rows
-	wr := make([]float64, n)
-	wi := make([]float64, n)
-
+// hqr finds all eigenvalues of the row-major n×n upper Hessenberg matrix d
+// using the Francis double-shift QR algorithm (Numerical Recipes' hqr),
+// writing their real and imaginary parts to wr and wi. d is overwritten.
+func hqr(d []float64, n int, wr, wi []float64) error {
 	var anorm float64
 	for i := 0; i < n; i++ {
 		for j := max(i-1, 0); j < n; j++ {
-			anorm += math.Abs(a.At(i, j))
+			anorm += math.Abs(d[i*n+j])
 		}
 	}
 	nn := n - 1
@@ -160,16 +196,16 @@ func hqr(a *Matrix) ([]complex128, error) {
 		for {
 			// Look for a single small subdiagonal element.
 			for l = nn; l >= 1; l-- {
-				s := math.Abs(a.At(l-1, l-1)) + math.Abs(a.At(l, l))
+				s := math.Abs(d[(l-1)*n+l-1]) + math.Abs(d[l*n+l])
 				if s == 0 {
 					s = anorm
 				}
-				if math.Abs(a.At(l, l-1))+s == s {
-					a.Set(l, l-1, 0)
+				if math.Abs(d[l*n+l-1])+s == s {
+					d[l*n+l-1] = 0
 					break
 				}
 			}
-			x := a.At(nn, nn)
+			x := d[nn*n+nn]
 			if l == nn {
 				// One root found.
 				wr[nn] = x + t
@@ -177,8 +213,8 @@ func hqr(a *Matrix) ([]complex128, error) {
 				nn--
 				break
 			}
-			y := a.At(nn-1, nn-1)
-			w := a.At(nn, nn-1) * a.At(nn-1, nn)
+			y := d[(nn-1)*n+nn-1]
+			w := d[nn*n+nn-1] * d[(nn-1)*n+nn]
 			if l == nn-1 {
 				// Two roots found.
 				p := 0.5 * (y - x)
@@ -210,16 +246,16 @@ func hqr(a *Matrix) ([]complex128, error) {
 			}
 			// No roots found; continue iteration.
 			if its == 60 {
-				return nil, ErrNoConvergence
+				return ErrNoConvergence
 			}
 			var p, q, r, z float64
 			if its == 10 || its == 20 {
 				// Exceptional shift.
 				t += x
 				for i := 0; i <= nn; i++ {
-					a.Set(i, i, a.At(i, i)-x)
+					d[i*n+i] -= x
 				}
-				s := math.Abs(a.At(nn, nn-1)) + math.Abs(a.At(nn-1, nn-2))
+				s := math.Abs(d[nn*n+nn-1]) + math.Abs(d[(nn-1)*n+nn-2])
 				y = 0.75 * s
 				x = y
 				w = -0.4375 * s * s
@@ -227,12 +263,12 @@ func hqr(a *Matrix) ([]complex128, error) {
 			its++
 			var m int
 			for m = nn - 2; m >= l; m-- {
-				z = a.At(m, m)
+				z = d[m*n+m]
 				r = x - z
 				s := y - z
-				p = (r*s-w)/a.At(m+1, m) + a.At(m, m+1)
-				q = a.At(m+1, m+1) - z - r - s
-				r = a.At(m+2, m+1)
+				p = (r*s-w)/d[(m+1)*n+m] + d[m*n+m+1]
+				q = d[(m+1)*n+m+1] - z - r - s
+				r = d[(m+2)*n+m+1]
 				s = math.Abs(p) + math.Abs(q) + math.Abs(r)
 				p /= s
 				q /= s
@@ -240,25 +276,25 @@ func hqr(a *Matrix) ([]complex128, error) {
 				if m == l {
 					break
 				}
-				u := math.Abs(a.At(m, m-1)) * (math.Abs(q) + math.Abs(r))
-				v := math.Abs(p) * (math.Abs(a.At(m-1, m-1)) + math.Abs(z) + math.Abs(a.At(m+1, m+1)))
+				u := math.Abs(d[m*n+m-1]) * (math.Abs(q) + math.Abs(r))
+				v := math.Abs(p) * (math.Abs(d[(m-1)*n+m-1]) + math.Abs(z) + math.Abs(d[(m+1)*n+m+1]))
 				if u+v == v {
 					break
 				}
 			}
 			for i := m + 2; i <= nn; i++ {
-				a.Set(i, i-2, 0)
+				d[i*n+i-2] = 0
 				if i != m+2 {
-					a.Set(i, i-3, 0)
+					d[i*n+i-3] = 0
 				}
 			}
 			for k := m; k <= nn-1; k++ {
 				if k != m {
-					p = a.At(k, k-1)
-					q = a.At(k+1, k-1)
+					p = d[k*n+k-1]
+					q = d[(k+1)*n+k-1]
 					r = 0
 					if k != nn-1 {
-						r = a.At(k+2, k-1)
+						r = d[(k+2)*n+k-1]
 					}
 					x = math.Abs(p) + math.Abs(q) + math.Abs(r)
 					if x != 0 {
@@ -276,10 +312,10 @@ func hqr(a *Matrix) ([]complex128, error) {
 				}
 				if k == m {
 					if l != m {
-						a.Set(k, k-1, -a.At(k, k-1))
+						d[k*n+k-1] = -d[k*n+k-1]
 					}
 				} else {
-					a.Set(k, k-1, -s*x)
+					d[k*n+k-1] = -s * x
 				}
 				p += s
 				x = p / s
@@ -287,34 +323,32 @@ func hqr(a *Matrix) ([]complex128, error) {
 				z = r / s
 				q /= p
 				r /= p
+				rowK, rowK1 := d[k*n:(k+1)*n], d[(k+1)*n:(k+2)*n]
 				for j := k; j <= nn; j++ {
-					p = a.At(k, j) + q*a.At(k+1, j)
+					p = rowK[j] + q*rowK1[j]
 					if k != nn-1 {
-						p += r * a.At(k+2, j)
-						a.Set(k+2, j, a.At(k+2, j)-p*z)
+						p += r * d[(k+2)*n+j]
+						d[(k+2)*n+j] -= p * z
 					}
-					a.Set(k+1, j, a.At(k+1, j)-p*y)
-					a.Set(k, j, a.At(k, j)-p*x)
+					rowK1[j] -= p * y
+					rowK[j] -= p * x
 				}
 				mmin := nn
 				if nn > k+3 {
 					mmin = k + 3
 				}
 				for i := l; i <= mmin; i++ {
-					p = x*a.At(i, k) + y*a.At(i, k+1)
+					row := d[i*n : (i+1)*n]
+					p = x*row[k] + y*row[k+1]
 					if k != nn-1 {
-						p += z * a.At(i, k+2)
-						a.Set(i, k+2, a.At(i, k+2)-p*r)
+						p += z * row[k+2]
+						row[k+2] -= p * r
 					}
-					a.Set(i, k+1, a.At(i, k+1)-p*q)
-					a.Set(i, k, a.At(i, k)-p)
+					row[k+1] -= p * q
+					row[k] -= p
 				}
 			}
 		}
 	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = complex(wr[i], wi[i])
-	}
-	return out, nil
+	return nil
 }

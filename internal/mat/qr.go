@@ -23,28 +23,29 @@ func QRDecompose(a *Matrix) *QR {
 		panic(fmt.Sprintf("mat: QR requires rows >= cols, got %dx%d", m, n))
 	}
 	qr := a.Clone()
+	d := qr.data
 	rdiag := make([]float64, n)
 	for k := 0; k < n; k++ {
 		var nrm float64
 		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
+			nrm = math.Hypot(nrm, d[i*n+k])
 		}
 		if nrm != 0 {
-			if qr.At(k, k) < 0 {
+			if d[k*n+k] < 0 {
 				nrm = -nrm
 			}
 			for i := k; i < m; i++ {
-				qr.Set(i, k, qr.At(i, k)/nrm)
+				d[i*n+k] /= nrm
 			}
-			qr.Set(k, k, qr.At(k, k)+1)
+			d[k*n+k]++
 			for j := k + 1; j < n; j++ {
 				var s float64
 				for i := k; i < m; i++ {
-					s += qr.At(i, k) * qr.At(i, j)
+					s += d[i*n+k] * d[i*n+j]
 				}
-				s = -s / qr.At(k, k)
+				s = -s / d[k*n+k]
 				for i := k; i < m; i++ {
-					qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+					d[i*n+j] += s * d[i*n+k]
 				}
 			}
 		}
@@ -91,36 +92,41 @@ func (f *QR) SolveLS(b *Matrix) (*Matrix, error) {
 		return nil, ErrSingular
 	}
 	x := b.Clone()
+	qd, n := f.qr.data, f.n
 	// Apply Q^T to b.
-	for k := 0; k < f.n; k++ {
-		head := f.qr.At(k, k)
+	xd, xc := x.data, x.cols
+	for k := 0; k < n; k++ {
+		head := qd[k*n+k]
 		if head == 0 {
 			continue
 		}
-		for j := 0; j < x.cols; j++ {
+		for j := 0; j < xc; j++ {
 			var s float64
 			for i := k; i < f.m; i++ {
-				s += f.qr.At(i, k) * x.At(i, j)
+				s += qd[i*n+k] * xd[i*xc+j]
 			}
 			s = -s / head
 			for i := k; i < f.m; i++ {
-				x.Set(i, j, x.At(i, j)+s*f.qr.At(i, k))
+				xd[i*xc+j] += s * qd[i*n+k]
 			}
 		}
 	}
 	// Back-substitute R*x = (Q^T b)[0:n].
-	out := x.Slice(0, f.n, 0, x.cols)
-	for k := f.n - 1; k >= 0; k-- {
-		for j := 0; j < out.cols; j++ {
-			out.Set(k, j, out.At(k, j)/f.rdiag[k])
+	out := x.Slice(0, n, 0, xc)
+	od := out.data
+	for k := n - 1; k >= 0; k-- {
+		rowK := od[k*xc : (k+1)*xc]
+		for j := range rowK {
+			rowK[j] /= f.rdiag[k]
 		}
 		for i := 0; i < k; i++ {
-			rik := f.qr.At(i, k)
+			rik := qd[i*n+k]
 			if rik == 0 {
 				continue
 			}
-			for j := 0; j < out.cols; j++ {
-				out.Set(i, j, out.At(i, j)-rik*out.At(k, j))
+			rowI := od[i*xc : (i+1)*xc]
+			for j, v := range rowK {
+				rowI[j] -= rik * v
 			}
 		}
 	}

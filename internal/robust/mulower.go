@@ -25,6 +25,19 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 	if n == 1 {
 		return cmplx.Abs(m.At(0, 0))
 	}
+	// The iterate vectors, the certified scaled copy um and the eigenvalue
+	// buffers are reused across restarts and iterations; md is m's entries.
+	md := make([]complex128, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			md[i*n+j] = m.At(i, j)
+		}
+	}
+	b := make([]complex128, n)
+	next := make([]complex128, n)
+	a := make([]complex128, n)
+	um := make([]complex128, n*n)
+	ws := newEmbedWork(n)
 	best := 0.0
 	// Several deterministic restarts: the power iteration for μ is not
 	// globally convergent, so restart from varied phase patterns. Each
@@ -34,68 +47,78 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 	// bound (μ(M) = max over diagonal unitary U of ρ(U M) for this
 	// structure), even when the iteration has not converged.
 	for restart := 0; restart < 4; restart++ {
-		b := make([]complex128, n)
 		for i := range b {
 			theta := 2 * math.Pi * float64(i*(restart+1)) / float64(n+1)
 			b[i] = cmplx.Exp(complex(0, theta))
 		}
 		normalizeVec(b)
-		var a []complex128
 		for iter := 0; iter < 60; iter++ {
 			// a = M b, then align the uncertainty phases and iterate with
 			// b ← normalized phase-aligned a.
-			a = mulVec(m, b)
+			mulVec(a, md, b)
 			if vecNorm(a) == 0 {
 				break
 			}
-			next := make([]complex128, n)
 			for i := range next {
 				ph := cmplx.Conj(phase(a[i]) * cmplx.Conj(phase(b[i])))
 				next[i] = a[i] * ph
 			}
 			normalizeVec(next)
 			// Certify this iterate: U aligns M's output phases back onto b.
-			um := m.Clone()
 			for i := 0; i < n; i++ {
 				u := phase(b[i]) * cmplx.Conj(phase(a[i]))
 				for j := 0; j < n; j++ {
-					um.Set(i, j, u*m.At(i, j))
+					um[i*n+j] = u * md[i*n+j]
 				}
 			}
-			if rho := complexSpectralRadius(um); rho > best {
+			if rho := ws.spectralRadius(um); rho > best {
 				best = rho
 			}
 			var diff float64
 			for i := range b {
 				diff += cmplx.Abs(next[i] - b[i])
 			}
-			b = next
+			b, next = next, b
 			if diff < 1e-9 {
 				break
 			}
 		}
 	}
 	// ρ(M) itself (U = I) is always a valid lower bound too.
-	if rho := complexSpectralRadius(m); rho > best {
+	if rho := ws.spectralRadius(md); rho > best {
 		best = rho
 	}
 	return best
 }
 
-// complexSpectralRadius computes ρ(M) through the real 2n×2n embedding.
-func complexSpectralRadius(m *mat.CMatrix) float64 {
-	n := m.Rows()
-	re := mat.Zeros(2*n, 2*n)
+// embedWork computes ρ of complex n×n matrices through the real 2n×2n
+// embedding [Re −Im; Im Re], reusing the embedding and eigenvalue buffers.
+type embedWork struct {
+	n   int
+	re  []float64   // row-major backing store of emb
+	emb *mat.Matrix // the 2n×2n embedding
+	eig mat.EigWork
+}
+
+func newEmbedWork(n int) embedWork {
+	re := make([]float64, 4*n*n)
+	return embedWork{n: n, re: re, emb: mat.New(2*n, 2*n, re)}
+}
+
+// spectralRadius returns ρ of the row-major n×n complex matrix md (0 when
+// the eigenvalue iteration fails).
+func (ws *embedWork) spectralRadius(md []complex128) float64 {
+	n, nn, re := ws.n, 2*ws.n, ws.re
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			v := m.At(i, j)
-			re.Set(i, j, real(v))
-			re.Set(i, n+j, -imag(v))
-			re.Set(n+i, j, imag(v))
-			re.Set(n+i, n+j, real(v))
+			v := md[i*n+j]
+			re[i*nn+j] = real(v)
+			re[i*nn+n+j] = -imag(v)
+			re[(n+i)*nn+j] = imag(v)
+			re[(n+i)*nn+n+j] = real(v)
 		}
 	}
-	rho, err := mat.SpectralRadius(re)
+	rho, err := ws.eig.SpectralRadius(ws.emb)
 	if err != nil {
 		return 0
 	}
@@ -110,17 +133,16 @@ func phase(v complex128) complex128 {
 	return v / complex(a, 0)
 }
 
-func mulVec(m *mat.CMatrix, v []complex128) []complex128 {
-	n := m.Rows()
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
+// mulVec sets out = M v for the row-major n×n M held in md, n = len(v).
+func mulVec(out, md, v []complex128) {
+	n := len(v)
+	for i := range out {
 		var s complex128
-		for j := 0; j < n; j++ {
-			s += m.At(i, j) * v[j]
+		for j, x := range v {
+			s += md[i*n+j] * x
 		}
 		out[i] = s
 	}
-	return out
 }
 
 func vecNorm(v []complex128) float64 {

@@ -434,3 +434,148 @@ func TestSweepMuNonFiniteMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// refMuLowerBound is the μ lower bound the synthesized controllers were
+// first certified with, kept verbatim with its helpers. It allocates its
+// iterates, its scaled copy and its real embedding per iteration; the
+// production bound reuses them, which may not change a bit of the result.
+func refMuLowerBound(m *mat.CMatrix) float64 {
+	n := m.Rows()
+	if n != m.Cols() {
+		panic("robust: MuLowerBound requires a square matrix")
+	}
+	if n == 0 {
+		return 0
+	}
+	if n == 1 {
+		return cmplx.Abs(m.At(0, 0))
+	}
+	best := 0.0
+	for restart := 0; restart < 4; restart++ {
+		b := make([]complex128, n)
+		for i := range b {
+			theta := 2 * math.Pi * float64(i*(restart+1)) / float64(n+1)
+			b[i] = cmplx.Exp(complex(0, theta))
+		}
+		normalizeVec(b)
+		var a []complex128
+		for iter := 0; iter < 60; iter++ {
+			a = refMulVec(m, b)
+			if vecNorm(a) == 0 {
+				break
+			}
+			next := make([]complex128, n)
+			for i := range next {
+				ph := cmplx.Conj(phase(a[i]) * cmplx.Conj(phase(b[i])))
+				next[i] = a[i] * ph
+			}
+			normalizeVec(next)
+			um := m.Clone()
+			for i := 0; i < n; i++ {
+				u := phase(b[i]) * cmplx.Conj(phase(a[i]))
+				for j := 0; j < n; j++ {
+					um.Set(i, j, u*m.At(i, j))
+				}
+			}
+			if rho := complexSpectralRadius(um); rho > best {
+				best = rho
+			}
+			var diff float64
+			for i := range b {
+				diff += cmplx.Abs(next[i] - b[i])
+			}
+			b = next
+			if diff < 1e-9 {
+				break
+			}
+		}
+	}
+	if rho := complexSpectralRadius(m); rho > best {
+		best = rho
+	}
+	return best
+}
+
+// complexSpectralRadius computes ρ(M) through the real 2n×2n embedding.
+func complexSpectralRadius(m *mat.CMatrix) float64 {
+	n := m.Rows()
+	re := mat.Zeros(2*n, 2*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			v := m.At(i, j)
+			re.Set(i, j, real(v))
+			re.Set(i, n+j, -imag(v))
+			re.Set(n+i, j, imag(v))
+			re.Set(n+i, n+j, real(v))
+		}
+	}
+	rho, err := mat.SpectralRadius(re)
+	if err != nil {
+		return 0
+	}
+	return rho
+}
+
+func refMulVec(m *mat.CMatrix, v []complex128) []complex128 {
+	n := m.Rows()
+	out := make([]complex128, n)
+	for i := 0; i < n; i++ {
+		var s complex128
+		for j := 0; j < n; j++ {
+			s += m.At(i, j) * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestMuLowerBoundMatchesOracle asserts the μ lower bound is bit-identical
+// to the reference.
+func TestMuLowerBoundMatchesOracle(t *testing.T) {
+	f := func(c oracleCase) bool {
+		return math.Float64bits(MuLowerBound(c.m)) == math.Float64bits(refMuLowerBound(c.m))
+	}
+	count := 120
+	if testing.Short() {
+		count = 30
+	}
+	if err := quick.Check(f, oracleConfig(4, count)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMuLowerBoundAllocsIndependentOfIterations asserts MuLowerBound
+// allocates its buffers once per call: a scaled identity converges in one
+// iteration per restart, a dense matrix runs many, and both allocate the
+// same small number of times.
+func TestMuLowerBoundAllocsIndependentOfIterations(t *testing.T) {
+	ident := mat.CZeros(12, 12)
+	for i := 0; i < 12; i++ {
+		ident.Set(i, i, 2+1i)
+	}
+	dense := randC(rand.New(rand.NewSource(9)), 12)
+	allocs := func(m *mat.CMatrix, mu func(*mat.CMatrix) float64) float64 {
+		return testing.AllocsPerRun(3, func() { mu(m) })
+	}
+	// The reference allocates per iteration, so it tells the cases apart.
+	if allocs(ident, refMuLowerBound) >= allocs(dense, refMuLowerBound) {
+		t.Fatal("test matrices do not differ in iteration count")
+	}
+	quick, slow := allocs(ident, MuLowerBound), allocs(dense, MuLowerBound)
+	if quick != slow || slow > 12 {
+		t.Fatalf("MuLowerBound allocates %v times on the identity and %v on the dense matrix; want the same small constant", quick, slow)
+	}
+}
+
+// BenchmarkMuLowerBound times one μ lower bound of a seeded 12×12 complex
+// matrix, the order of the hardware layer's Δ block.
+func BenchmarkMuLowerBound(b *testing.B) {
+	m := randC(rand.New(rand.NewSource(1)), 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		muSink = MuLowerBound(m)
+	}
+}
+
+// muSink keeps BenchmarkMuLowerBound's result live.
+var muSink float64
