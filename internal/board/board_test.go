@@ -14,7 +14,7 @@ import (
 // steadyApp returns a long compute or memory-bound app for physics tests.
 func steadyApp(t *testing.T, memBound float64) *workload.App {
 	t.Helper()
-	a, err := workload.NewApp("steady", "TEST", 1e6, []workload.Phase{
+	a, err := workload.NewApp("steady", 1e6, []workload.Phase{
 		{WorkFrac: 1, Threads: 8, MemBound: memBound, IPCBig: 1.6, IPCLittle: 0.8},
 	})
 	if err != nil {
@@ -255,7 +255,7 @@ func TestMigrationPenaltyReducesThroughput(t *testing.T) {
 }
 
 func TestWorkloadCompletionStopsCounting(t *testing.T) {
-	a, err := workload.NewApp("tiny", "TEST", 0.5, []workload.Phase{
+	a, err := workload.NewApp("tiny", 0.5, []workload.Phase{
 		{WorkFrac: 1, Threads: 8, MemBound: 0.1, IPCBig: 1.6, IPCLittle: 0.8},
 	})
 	if err != nil {
@@ -578,7 +578,7 @@ func refBudgetStep(g *budget, b *Board, totalW, dt float64) {
 // within a few seconds of full-tilt execution.
 func phasedApp(t testing.TB, totalGInst float64) *workload.App {
 	t.Helper()
-	a, err := workload.NewApp("phased", "TEST", totalGInst, []workload.Phase{
+	a, err := workload.NewApp("phased", totalGInst, []workload.Phase{
 		{WorkFrac: 0.3, Threads: 8, MemBound: 0.1, IPCBig: 1.6, IPCLittle: 0.8},
 		{WorkFrac: 0.2, Threads: 2, MemBound: 0.6, IPCBig: 0.7, IPCLittle: 0.4},
 		{WorkFrac: 0.3, Threads: 6, MemBound: 0.3, IPCBig: 1.2, IPCLittle: 0.6},

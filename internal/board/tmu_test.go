@@ -11,7 +11,7 @@ import (
 // well past the emergency thresholds at full tilt.
 func hotApp(t *testing.T) *workload.App {
 	t.Helper()
-	a, err := workload.NewApp("hot", "TEST", 1e6, []workload.Phase{
+	a, err := workload.NewApp("hot", 1e6, []workload.Phase{
 		{WorkFrac: 1, Threads: 8, MemBound: 0.05, IPCBig: 1.8, IPCLittle: 0.9},
 	})
 	if err != nil {

@@ -55,7 +55,7 @@ const (
 
 // scaleApp builds one synthetic steady-phase board workload.
 func scaleApp(name string, gInst float64) (workload.Workload, error) {
-	return workload.NewApp(name, "SCALE", gInst, []workload.Phase{
+	return workload.NewApp(name, gInst, []workload.Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.25, IPCBig: 1.4, IPCLittle: 0.70},
 	})
 }

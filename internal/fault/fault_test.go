@@ -120,7 +120,7 @@ func TestInjectorForcedThrottleSchedule(t *testing.T) {
 	p := Plan{Seed: 4, Thermal: ThermalFault{MeanPeriodS: 2, DurationS: 0.5}}
 	in := p.NewInjector("k")
 	b := board.New(board.DefaultConfig())
-	w, err := workload.NewApp("idle", "T", 1e9, []workload.Phase{
+	w, err := workload.NewApp("idle", 1e9, []workload.Phase{
 		{WorkFrac: 1, Threads: 1, MemBound: 0.2, IPCBig: 1, IPCLittle: 0.5},
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestPresetScalingAndEnabled(t *testing.T) {
 
 func TestPlanDisturbWrapsDeterministically(t *testing.T) {
 	mk := func() workload.Workload {
-		w, err := workload.NewApp("app", "T", 100, []workload.Phase{
+		w, err := workload.NewApp("app", 100, []workload.Phase{
 			{WorkFrac: 1, Threads: 8, MemBound: 0.2, IPCBig: 1.5, IPCLittle: 0.7},
 		})
 		if err != nil {
@@ -208,7 +208,7 @@ func TestEndToEndBoardWithTaps(t *testing.T) {
 	run := func() ([]board.Sensors, Stats) {
 		p := Preset(99, 1)
 		in := p.NewInjector("heur|app")
-		w, err := workload.NewApp("app", "T", 1e9, []workload.Phase{
+		w, err := workload.NewApp("app", 1e9, []workload.Phase{
 			{WorkFrac: 1, Threads: 8, MemBound: 0.3, IPCBig: 1.5, IPCLittle: 0.7},
 		})
 		if err != nil {

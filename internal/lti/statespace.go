@@ -117,31 +117,6 @@ func (s *StateSpace) Evaluate(z complex128) (*mat.CMatrix, error) {
 	return mat.ToComplex(s.C).Mul(x).Add(d), nil
 }
 
-// FrequencyResponse evaluates the transfer matrix at nPoints frequencies
-// logarithmically spaced from near DC up to the Nyquist frequency, returning
-// the angular frequencies (rad/s) and responses.
-func (s *StateSpace) FrequencyResponse(nPoints int) ([]float64, []*mat.CMatrix, error) {
-	if nPoints < 2 {
-		nPoints = 2
-	}
-	nyquist := math.Pi / s.Ts
-	freqs := make([]float64, nPoints)
-	resps := make([]*mat.CMatrix, nPoints)
-	// Logarithmic spread over 4 decades below Nyquist, plus Nyquist itself.
-	lo := nyquist * 1e-4
-	for i := 0; i < nPoints; i++ {
-		f := lo * math.Pow(nyquist/lo, float64(i)/float64(nPoints-1))
-		freqs[i] = f
-		z := cmplx.Exp(complex(0, f*s.Ts))
-		g, err := s.Evaluate(z)
-		if err != nil {
-			return nil, nil, err
-		}
-		resps[i] = g
-	}
-	return freqs, resps, nil
-}
-
 // HInfNorm returns an estimate of the H-infinity norm: the peak of
 // sigma_max(G(e^{jw})) over the unit circle. It uses a coarse grid followed
 // by golden-section refinement around the peak. For unstable systems the

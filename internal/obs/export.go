@@ -140,19 +140,15 @@ func appendJSONFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// fieldNames returns a schema's JSONL field names in emission order.
-func fieldNames[T any](schema []fieldSpec[T]) []string {
+// SchemaFields returns the JSONL field names in emission order (the last,
+// "lat_ns", is optional — see Recorder.IncludeLatency).
+func SchemaFields() []string {
 	out := make([]string, len(schema))
 	for i := range schema {
 		out[i] = schema[i].name
 	}
 	return out
 }
-
-// SchemaFields returns the JSONL field names in emission order (the last,
-// "lat_ns", is optional — see Recorder.IncludeLatency). Exposed for tests
-// and documentation tooling.
-func SchemaFields() []string { return fieldNames(schema) }
 
 // appendJSONObject appends one record's JSON object encoding (no trailing
 // newline), fields in schema order, skipping optional fields unless

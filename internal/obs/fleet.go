@@ -74,10 +74,6 @@ var fleetSchema = []fieldSpec[FleetRecord]{
 	boolF("realloc", func(r *FleetRecord) bool { return r.Realloc }),
 }
 
-// FleetSchemaFields returns the fleet-record JSONL field names in emission
-// order. Exposed for tests and documentation tooling.
-func FleetSchemaFields() []string { return fieldNames(fleetSchema) }
-
 // FleetRecorder is a fixed-capacity ring buffer of FleetRecords, with the
 // same contract as Recorder: all memory up front, Add never allocates, one
 // recorder per fleet run, not safe for concurrent use (the fleet runner adds

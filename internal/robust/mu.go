@@ -1,10 +1,13 @@
 package robust
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/cmplx"
 	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"yukta/internal/lti"
 	"yukta/internal/mat"
@@ -23,20 +26,41 @@ import (
 // diagonal entries of D. A matrix with a non-finite entry gets +Inf: no
 // scaling bounds its gain.
 func MuUpperBound(m *mat.CMatrix) float64 {
+	s := newMuDescent(m)
+	s.descend(nil)
+	return s.best
+}
+
+// muDescent is MuUpperBound's D-scale descent on one matrix, split at its
+// start so that a frequency sweep can rank its grid points by where their
+// descents begin before running any of them (DESIGN.md §17).
+type muDescent struct {
+	m, dm    *mat.CMatrix // M and the scaled D M D^-1
+	ws       mat.SVWork
+	d, trial []float64 // incumbent and trial scalings
+	// best is σ_max under d: the bound so far, which never increases.
+	best float64
+	// done marks best as the final bound: the descent ran to its end, or
+	// M has no descent (empty, 1×1 or not finite).
+	done bool
+}
+
+// newMuDescent returns the descent on m at its start, best being the
+// smaller of σ_max under the Perron scaling and under none.
+func newMuDescent(m *mat.CMatrix) *muDescent {
 	n := m.Rows()
 	if n != m.Cols() {
 		// μ is defined for the square interconnection matrix; callers must
 		// pass the Δ-facing square block.
 		panic("robust: MuUpperBound requires a square matrix")
 	}
-	if n == 0 {
-		return 0
-	}
-	if !m.AllFinite() {
-		return math.Inf(1)
-	}
-	if n == 1 {
-		return cmplx.Abs(m.At(0, 0))
+	switch {
+	case n == 0:
+		return &muDescent{done: true}
+	case !m.AllFinite():
+		return &muDescent{best: math.Inf(1), done: true}
+	case n == 1:
+		return &muDescent{best: cmplx.Abs(m.At(0, 0)), done: true}
 	}
 	// Perron initialization on |M|: D_i = sqrt(u_i / v_i) where u, v are the
 	// left and right Perron vectors of the elementwise absolute value.
@@ -50,48 +74,67 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 	}
 	u := perronVector(absT)
 	v := perronVector(absM)
-	d := make([]float64, n)
+	s := &muDescent{m: m, dm: mat.CZeros(n, n), d: make([]float64, n), trial: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		if v[i] <= 1e-300 || u[i] <= 1e-300 {
-			d[i] = 1
+			s.d[i] = 1
 		} else {
-			d[i] = math.Sqrt(u[i] / v[i])
+			s.d[i] = math.Sqrt(u[i] / v[i])
 		}
 	}
-	// Every σ_max evaluation reuses one scaled matrix and one workspace.
-	dm := mat.CZeros(n, n)
-	var ws mat.SVWork
-	scaled := func(d []float64, stop float64) float64 {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				dm.Set(i, j, m.At(i, j)*complex(d[i]/d[j], 0))
-			}
-		}
-		return ws.MaxSingularValue(dm, stop)
-	}
-	best := scaled(d, math.Inf(1))
-	if plain := ws.MaxSingularValue(m, math.Inf(1)); plain < best {
+	s.best = s.scaled(s.d, math.Inf(1))
+	if plain := s.ws.MaxSingularValue(m, math.Inf(1)); plain < s.best {
 		// Identity scaling is sometimes better than Perron for complex M.
-		for i := range d {
-			d[i] = 1
+		for i := range s.d {
+			s.d[i] = 1
 		}
-		best = plain
+		s.best = plain
 	}
+	return s
+}
+
+// scaled returns σ_max(D M D^-1) for D = diag(d), given up at stop. Every
+// evaluation reuses one scaled matrix and one workspace.
+func (s *muDescent) scaled(d []float64, stop float64) float64 {
+	n := len(d)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s.dm.Set(i, j, s.m.At(i, j)*complex(d[i]/d[j], 0))
+		}
+	}
+	return s.ws.MaxSingularValue(s.dm, stop)
+}
+
+// descend runs the coordinate descent and sets done when it ends. With a
+// non-nil peak it returns early, done unset, once best ≤ peak: best never
+// increases, so the final bound could not exceed peak either. A NaN best
+// fails that test and runs to the end.
+func (s *muDescent) descend(peak *muPeak) {
+	if s.done {
+		return
+	}
+	below := func() bool { return peak != nil && s.best <= peak.load() }
 	// Cyclic coordinate descent with multiplicative steps. A trial is kept
 	// only if it beats best by 1e-12; one whose running σ_max estimate has
 	// reached rejectLevel(best) cannot, so its power iteration stops there.
-	trial := make([]float64, n)
+	d, trial := s.d, s.trial
 	step := 1.5
 	for pass := 0; pass < 30 && step > 1.001; pass++ {
+		if below() {
+			return
+		}
 		improved := false
-		for i := 0; i < n; i++ {
+		for i := range d {
 			for _, f := range [2]float64{step, 1 / step} {
 				copy(trial, d)
 				trial[i] *= f
-				if s := scaled(trial, rejectLevel(best)); s < best-1e-12 {
-					best = s
+				if v := s.scaled(trial, rejectLevel(s.best)); v < s.best-1e-12 {
+					s.best = v
 					copy(d, trial)
 					improved = true
+					if below() {
+						return
+					}
 				}
 			}
 		}
@@ -99,7 +142,24 @@ func MuUpperBound(m *mat.CMatrix) float64 {
 			step = math.Sqrt(step)
 		}
 	}
-	return best
+	s.done = true
+}
+
+// muPeak is the running maximum of a sweep's finished μ upper bounds, held
+// as float64 bits so that concurrent descents can read it. The zero value
+// is 0, the sweep's starting maximum.
+type muPeak struct{ bits atomic.Uint64 }
+
+func (p *muPeak) load() float64 { return math.Float64frombits(p.bits.Load()) }
+
+// raise sets the peak to v if v is larger.
+func (p *muPeak) raise(v float64) {
+	for {
+		old := p.bits.Load()
+		if !(v > math.Float64frombits(old)) || p.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
 }
 
 // rejectLevel is the running σ_max estimate at which a descent trial against
@@ -156,7 +216,8 @@ func SystemMu(sys *lti.StateSpace, nGrid int) (float64, error) {
 // upper bound. A non-finite response or μ at any grid point makes the upper
 // bound +Inf, so such a system is never certified robust.
 func SystemMuBounds(sys *lti.StateSpace, nGrid int, withLower bool) (lo, hi float64, err error) {
-	return sweepMu(sys, nGrid, true, withLower)
+	lo, hi, _ = sweepMu(sys, nGrid, true, withLower)
+	return lo, hi, nil
 }
 
 // errNotFinite marks a grid point whose response has no finite gain; it
@@ -165,18 +226,22 @@ var errNotFinite = errors.New("robust: frequency response not finite")
 
 // sweepMu evaluates the requested μ bounds of sys on the frequency grid
 // (an unrequested bound is returned as 0; a requested one is +Inf when any
-// grid point's response is not finite). The grid points are independent
-// and run on up to GOMAXPROCS goroutines, each writing its own slot; the
-// caller then reduces the slots in index order. A maximum does not depend
-// on the order its terms arrive in, so the bounds are bit-identical at any
-// worker count (DESIGN.md §15).
-func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, err error) {
+// grid point's response is not finite), and reports how many grid points
+// entered the upper bound's D-scale descent.
+//
+// The grid points are independent and run on up to GOMAXPROCS goroutines,
+// each writing its own slot: the response, its lower bound and the start of
+// its descent. The lower bounds are then reduced in index order and the
+// upper bound is peakMu of the descents. A maximum does not depend on the
+// order its terms arrive in, so the bounds are bit-identical at any worker
+// count (DESIGN.md §15).
+func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, descents int) {
 	if nGrid < 8 {
 		nGrid = 8
 	}
-	type bounds struct{ lo, hi float64 }
-	pts := make([]bounds, nGrid+1)
-	if pool.ForEach(runtime.GOMAXPROCS(0), len(pts), func(i int) error {
+	los := make([]float64, nGrid+1)
+	ds := make([]*muDescent, nGrid+1)
+	if pool.ForEach(runtime.GOMAXPROCS(0), len(ds), func(i int) error {
 		theta := math.Pi * float64(i) / float64(nGrid)
 		g, err := sys.Evaluate(cmplx.Exp(complex(0, theta)))
 		if err != nil || !g.AllFinite() {
@@ -184,10 +249,10 @@ func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi 
 			return errNotFinite
 		}
 		if withUpper {
-			pts[i].hi = MuUpperBound(g)
+			ds[i] = newMuDescent(g)
 		}
 		if withLower {
-			pts[i].lo = MuLowerBound(g)
+			los[i] = MuLowerBound(g)
 		}
 		return nil
 	}) != nil {
@@ -197,19 +262,58 @@ func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi 
 		if withLower {
 			lo = math.Inf(1)
 		}
-		return lo, hi, nil
+		return lo, hi, 0
 	}
-	for _, p := range pts {
-		v := p.hi
+	for _, v := range los {
+		if v > lo {
+			lo = v
+		}
+	}
+	if withUpper {
+		hi, descents = peakMu(ds)
+	}
+	return lo, hi, descents
+}
+
+// peakMu returns the largest of the descents' final bounds, a NaN bound
+// (σ_max overflowed on a huge finite response) counting as +Inf, and how
+// many descents it ran. Only the maximum is wanted, so it visits the
+// descents in decreasing order of their starting bound, on up to
+// GOMAXPROCS goroutines, and runs one only while it can still set the
+// maximum: a descent never raises its bound, so one that starts, or comes
+// down to, at or below a finished bound cannot (DESIGN.md §17). It
+// reorders ds.
+func peakMu(ds []*muDescent) (hi float64, descents int) {
+	// start ranks a descent by its starting bound, NaN (which never ends
+	// below anything) first.
+	start := func(s *muDescent) float64 {
+		if math.IsNaN(s.best) {
+			return math.Inf(1)
+		}
+		return s.best
+	}
+	slices.SortStableFunc(ds, func(a, b *muDescent) int { return cmp.Compare(start(b), start(a)) })
+	// Only a finished bound may raise the peak: a descent that stopped at
+	// the peak has not reached its point's final bound.
+	var peak muPeak
+	var entered atomic.Int64
+	_ = pool.ForEach(runtime.GOMAXPROCS(0), len(ds), func(k int) error { // no job fails
+		s := ds[k]
+		if !s.done {
+			if s.best <= peak.load() {
+				return nil // its bound ends at or below the peak
+			}
+			entered.Add(1)
+			if s.descend(&peak); !s.done {
+				return nil
+			}
+		}
+		v := s.best
 		if math.IsNaN(v) {
-			v = math.Inf(1) // σ_max overflowed on a huge finite response
+			v = math.Inf(1)
 		}
-		if v > hi {
-			hi = v
-		}
-		if p.lo > lo {
-			lo = p.lo
-		}
-	}
-	return lo, hi, nil
+		peak.raise(v)
+		return nil
+	})
+	return peak.load(), int(entered.Load())
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -208,13 +209,46 @@ func TestSystemMuNonFiniteResponseUnrequestedBoundZero(t *testing.T) {
 		}
 	}
 	for _, d00 := range []float64{math.NaN(), math.Inf(1)} {
-		lo, hi, err := sweepMu(nonFiniteSystem(t, d00), 24, false, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lo, hi, _ := sweepMu(nonFiniteSystem(t, d00), 24, false, true)
 		if hi != 0 || !math.IsInf(lo, 1) {
 			t.Fatalf("D[0][0]=%v: lower-bound sweep gave (lo, hi) = (%v, %v), want (+Inf, 0)", d00, lo, hi)
 		}
+	}
+}
+
+// TestSweepMuPrunesDescents guards the pruning itself, which the oracles
+// cannot see: a sweep that ran every descent would return the same bits.
+// On one CPU the 49-point sweep of a hardware-shaped closed loop (a 4×4
+// plant, so a 12×12 Δ block) visits its highest-starting point first, and
+// the descents of all but a point or two start below where that one ends.
+func TestSweepMuPrunesDescents(t *testing.T) {
+	spec := &Spec{
+		Plant:        randStable(rand.New(rand.NewSource(1)), 8, 4, 4),
+		NumControls:  4,
+		InputWeights: []float64{1, 1, 1, 1},
+		InputQuanta:  []float64{0.05, 0.05, 0.05, 0.05},
+		OutputBounds: []float64{0.2, 0.2, 0.1, 0.1},
+		Uncertainty:  0.4,
+	}
+	k, err := designCandidate(spec, 1, 0.05, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := buildClosedLoop(spec, k, spec.resolveTargetScales())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Inputs() != 12 || !cl.IsStable() {
+		t.Fatalf("closed loop has %d Δ channels (stable %v), want a stable 12", cl.Inputs(), cl.IsStable())
+	}
+	prev := runtime.GOMAXPROCS(1)
+	_, hi, descents := sweepMu(cl, 48, true, false)
+	runtime.GOMAXPROCS(prev)
+	if descents < 1 || descents > 2 {
+		t.Fatalf("sweep entered the descent at %d of 49 grid points, want 1 or 2", descents)
+	}
+	if _, want, _ := refSweepMu(cl, 48, true, false); math.Float64bits(hi) != math.Float64bits(want) {
+		t.Fatalf("pruned sweep %v, reference %v", hi, want)
 	}
 }
 
@@ -269,8 +303,6 @@ func BenchmarkSystemMuBounds(b *testing.B) {
 		if _, _, err := SystemMuBounds(sys, 48, false); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := sweepMu(sys, 24, false, true); err != nil {
-			b.Fatal(err)
-		}
+		sweepMu(sys, 24, false, true)
 	}
 }

@@ -354,7 +354,7 @@ func (sweepCase) Generate(r *rand.Rand, _ int) reflect.Value {
 // GOMAXPROCS 1, 2 and 8, with an unrequested bound 0.
 func sweepMatchesOracle(t *testing.T, c sweepCase) bool {
 	t.Helper()
-	wantLo, wantHi, wantErr := refSweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
+	wantLo, wantHi, _ := refSweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
 	if !c.withUpper {
 		wantHi = 0
 	}
@@ -363,19 +363,23 @@ func sweepMatchesOracle(t *testing.T, c sweepCase) bool {
 	}
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		lo, hi, err := sweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
+		lo, hi, _ := sweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
 		runtime.GOMAXPROCS(prev)
-		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) || err != wantErr {
-			t.Logf("GOMAXPROCS %d, grid %d, upper %v, lower %v: got (%v, %v, %v), want (%v, %v, %v)",
-				procs, c.nGrid, c.withUpper, c.withLower, lo, hi, err, wantLo, wantHi, wantErr)
+		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+			t.Logf("GOMAXPROCS %d, grid %d, upper %v, lower %v: got (%v, %v), want (%v, %v)",
+				procs, c.nGrid, c.withUpper, c.withLower, lo, hi, wantLo, wantHi)
 			return false
 		}
 	}
 	return true
 }
 
-// TestSweepMuMatchesOracle asserts the concurrent sweep is bit-identical to
-// the sequential reference at any worker count.
+// TestSweepMuMatchesOracle asserts the concurrent, pruned sweep is
+// bit-identical to the sequential reference at any worker count: on random
+// systems; on systems whose peak sits at the first, a middle or the last
+// grid point; on a static system, where every grid point ties at the peak;
+// on an all-zero response; and, grid point by grid point, where exactly two
+// points share the peak.
 func TestSweepMuMatchesOracle(t *testing.T) {
 	count := 5
 	if testing.Short() {
@@ -385,6 +389,121 @@ func TestSweepMuMatchesOracle(t *testing.T) {
 	if err := quick.Check(f, oracleConfig(4, count)); err != nil {
 		t.Fatal(err)
 	}
+
+	const nGrid = 24
+	var systems []*lti.StateSpace
+	for _, k := range []int{0, nGrid / 2, nGrid} {
+		sys := resonantAt(t, k, nGrid)
+		if at := peakGridPoint(t, sys, nGrid); at != k {
+			t.Fatalf("resonance at grid point %d peaks at %d", k, at)
+		}
+		systems = append(systems, sys)
+	}
+	d := mat.Zeros(6, 6)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			d.Set(i, j, rng.NormFloat64())
+		}
+	}
+	systems = append(systems, staticSystem(t, d), staticSystem(t, mat.Zeros(6, 6)))
+	for _, sys := range systems {
+		if !sweepMatchesOracle(t, sweepCase{sys: sys, nGrid: nGrid, withUpper: true}) {
+			t.Fatal("pruned sweep differs from the reference")
+		}
+	}
+
+	// Two grid points hold the same matrix, scaled above every other one.
+	ms := make([]*mat.CMatrix, 17)
+	for i := range ms {
+		ms[i] = randC(rng, 6).Scale(complex(0.9+0.005*float64(i), 0))
+	}
+	ms[12] = randC(rng, 6)
+	ms[4] = ms[12]
+	if !peakMatchesOracle(t, ms) {
+		t.Fatal("pruned peak differs from the reference with two equal peaks")
+	}
+}
+
+// resonantAt is a stable 6-channel system with a lightly damped pole pair
+// at the angle of grid point k of nGrid, where its μ peaks.
+func resonantAt(t *testing.T, k, nGrid int) *lti.StateSpace {
+	t.Helper()
+	s, c := math.Sincos(math.Pi * float64(k) / float64(nGrid))
+	a := mat.FromRows([][]float64{{0.9 * c, -0.9 * s}, {0.9 * s, 0.9 * c}})
+	rng := rand.New(rand.NewSource(int64(k)))
+	fill := func(rows, cols int, scale float64) *mat.Matrix {
+		m := mat.Zeros(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				m.Set(i, j, scale*rng.NormFloat64())
+			}
+		}
+		return m
+	}
+	sys, err := lti.NewStateSpace(a, fill(2, 6, 1), fill(6, 2, 1), fill(6, 6, 0.1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// staticSystem has the response d at every frequency.
+func staticSystem(t *testing.T, d *mat.Matrix) *lti.StateSpace {
+	t.Helper()
+	sys, err := lti.NewStateSpace(mat.Zeros(1, 1), mat.Zeros(1, d.Cols()), mat.Zeros(d.Rows(), 1), d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// peakGridPoint returns the first grid point where MuUpperBound of sys's
+// response is largest.
+func peakGridPoint(t *testing.T, sys *lti.StateSpace, nGrid int) int {
+	t.Helper()
+	at, peak := -1, math.Inf(-1)
+	for i := 0; i <= nGrid; i++ {
+		g, err := sys.Evaluate(cmplx.Exp(complex(0, math.Pi*float64(i)/float64(nGrid))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := MuUpperBound(g); v > peak {
+			at, peak = i, v
+		}
+	}
+	return at
+}
+
+// peakMatchesOracle reports whether peakMu over the descents of ms returns,
+// at GOMAXPROCS 1, 2 and 8, the bits of refSweepMu's reduction of
+// refMuUpperBound over the same matrices.
+func peakMatchesOracle(t *testing.T, ms []*mat.CMatrix) bool {
+	t.Helper()
+	var want float64
+	for _, m := range ms {
+		v := refMuUpperBound(m)
+		if math.IsNaN(v) {
+			v = math.Inf(1)
+		}
+		if v > want {
+			want = v
+		}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		ds := make([]*muDescent, len(ms))
+		for i, m := range ms {
+			ds[i] = newMuDescent(m)
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		got, _ := peakMu(ds)
+		runtime.GOMAXPROCS(prev)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Logf("GOMAXPROCS %d: peak %v, want %v", procs, got, want)
+			return false
+		}
+	}
+	return true
 }
 
 // poleAtGridPoint is a stable 3×3 system but for a pole pair on the unit
@@ -412,9 +531,24 @@ func poleAtGridPoint(t *testing.T, k, nGrid int) *lti.StateSpace {
 
 // TestSweepMuNonFiniteMatchesOracle covers the sweep's early exit: a
 // response that is singular at the first, a middle or the last grid point,
-// and a finite response so large that σ_max overflows. Every requested
-// bound must be +Inf, as in the reference.
+// and a finite response so large that σ_max overflows to NaN, at every grid
+// point or, grid point by grid point, at one of them alone. Every requested
+// bound must be +Inf, as in the reference: the pruned sweep may not skip a
+// NaN point.
 func TestSweepMuNonFiniteMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ms := make([]*mat.CMatrix, 13)
+	for i := range ms {
+		ms[i] = randC(rng, 4)
+	}
+	ms[9] = ms[9].Scale(1e160)
+	if v := refMuUpperBound(ms[9]); !math.IsNaN(v) {
+		t.Fatalf("overflowing matrix has μ upper bound %v, want NaN", v)
+	}
+	if !peakMatchesOracle(t, ms) {
+		t.Fatal("pruned peak differs from the reference with one NaN point")
+	}
+
 	var systems []sweepCase
 	for _, nGrid := range []int{24, 48} {
 		for _, k := range []int{0, nGrid / 2, nGrid} {

@@ -49,7 +49,9 @@ func (s *Server) ReapIdle() (reaped int) {
 			continue // lost the race to an explicit DELETE
 		}
 		sess.closeWatchers()
-		sess.closeLog(true)
+		if err := sess.removeLog(); err != nil {
+			s.log.Warn("session log removal not durable", "session", id, "err", err)
+		}
 		s.slots.Release()
 		s.reg.Counter("serve_sessions_reaped_total").Add(1)
 		s.log.Info("session reaped", "session", id, "tenant", sess.tenant,

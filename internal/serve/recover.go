@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -215,7 +216,10 @@ func (s *Server) recoverOne(path string, rep *RecoverReport) {
 	sess.log = log
 	sess.ops = coalesceOps(recs)
 	if log.appended >= len(sess.ops)+compactThreshold {
-		_ = log.compact(sess.ops)
+		// As in logOp: only a rename that may not survive power loss wedges.
+		if err := log.compact(sess.ops); errors.Is(err, errDirSync) {
+			sess.wedged = true
+		}
 	}
 
 	s.mu.Lock()

@@ -484,7 +484,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.closeWatchers()
-	sess.closeLog(true)
+	if err := sess.removeLog(); err != nil {
+		s.log.Warn("session log removal not durable", "session", id, "err", err)
+	}
 	s.slots.Release()
 	s.reg.Counter("serve_sessions_closed_total").Add(1)
 	s.reg.Gauge("serve_sessions_live").Set(int64(s.slots.InUse()))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -198,8 +199,9 @@ type session struct {
 	// ops is the coalesced logical operation history (coalesceOps form),
 	// maintained alongside the log so compaction never has to re-read disk.
 	ops []walRecord
-	// wedged is set when a log append fails: the durability contract cannot
-	// be kept, so the session refuses further mutations (500 wal_error).
+	// wedged is set when a log append fails, or a compaction's rename may
+	// not be durable: the durability contract cannot be kept, so the
+	// session refuses further mutations (500 wal_error).
 	wedged bool
 	// lastSeq and lastResp implement idempotent step sequencing: the highest
 	// client sequence number applied and the outcome to replay for a retry.
@@ -310,7 +312,7 @@ func (s *Server) newSession(tenant string, req CreateRequest) (*session, error) 
 		}
 		if err != nil {
 			if log != nil {
-				log.remove()
+				_ = log.remove() // the create has failed already
 			}
 			s.unregister(sess.id)
 			return nil, fmt.Errorf("session log: %v", err)
@@ -371,9 +373,13 @@ func (se *session) logOp(rec walRecord) {
 		return
 	}
 	if se.log.appended >= len(se.ops)+compactThreshold {
-		// Compaction failure is not fatal: the uncompacted log is still a
-		// complete, valid history.
-		_ = se.log.compact(se.ops)
+		// A compaction that fails before its rename is not fatal: the
+		// uncompacted log is still a complete, valid history. One whose
+		// rename may not survive power loss wedges the session, since
+		// later appends would go to a file recovery might not find.
+		if err := se.log.compact(se.ops); errors.Is(err, errDirSync) {
+			se.wedged = true
+		}
 	}
 }
 
@@ -558,19 +564,17 @@ func (se *session) drain(drainSteps int) (tripped bool) {
 	return tripped
 }
 
-// closeLog closes the session's write-ahead log handle, deleting the file
-// when discard is set (explicit DELETE and the idle reaper discard state;
-// shutdown keeps it for the next daemon's recovery).
-func (se *session) closeLog(discard bool) {
+// removeLog closes and deletes the session's write-ahead log (explicit
+// DELETE and the idle reaper discard state; shutdown leaves the logs for
+// the next daemon's recovery). It returns the removal's error: a deleted
+// session whose removal did not reach the disk may come back on recovery.
+func (se *session) removeLog() error {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	if se.log == nil {
-		return
+		return nil
 	}
-	if discard {
-		se.log.remove()
-	} else {
-		se.log.close()
-	}
+	err := se.log.remove()
 	se.log = nil
+	return err
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -69,10 +70,17 @@ func sessionWALPath(dataDir, id string) string {
 
 // createWAL creates a fresh session log, failing if one already exists (an
 // ID collision means the data dir is shared or stale — refuse rather than
-// interleave two sessions' histories).
+// interleave two sessions' histories). The sessions directory is synced
+// before it returns, so the new log's name survives power loss; if that
+// sync fails the create fails and the file is removed.
 func createWAL(path string) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("serve: creating session log: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		_ = f.Close()
+		_ = os.Remove(path)
 		return nil, fmt.Errorf("serve: creating session log: %w", err)
 	}
 	return &wal{f: f, path: path}, nil
@@ -129,10 +137,14 @@ func (w *wal) close() {
 }
 
 // remove closes and deletes the log (session deleted or reaped — its state
-// is intentionally discarded).
-func (w *wal) remove() {
+// is intentionally discarded), then syncs the sessions directory so the
+// deleted session cannot come back on recovery after power loss.
+func (w *wal) remove() error {
 	w.close()
-	_ = os.Remove(w.path)
+	if err := os.Remove(w.path); err != nil {
+		return fmt.Errorf("serve: removing session log: %w", err)
+	}
+	return syncDir(filepath.Dir(w.path))
 }
 
 // readWAL reads a session log, returning every valid record plus the byte
@@ -220,7 +232,9 @@ const compactThreshold = 512
 // compact rewrites the log as the given coalesced op list, atomically:
 // write a temp file, fsync it, rename over the log, fsync the directory. A
 // crash at any point leaves either the old or the new log fully intact.
-// On success the wal's handle points at the new file.
+// Once the rename is done the wal's handle points at the new file, even
+// when the directory sync then fails; that failure is returned, since the
+// rename may not survive power loss.
 func (w *wal) compact(ops []walRecord) error {
 	tmp := w.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -251,7 +265,7 @@ func (w *wal) compact(ops []walRecord) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(filepath.Dir(w.path))
+	serr := syncDir(filepath.Dir(w.path))
 	// Swap the append handle onto the new file.
 	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -262,7 +276,7 @@ func (w *wal) compact(ops []walRecord) error {
 	}
 	w.f = nf
 	w.appended = len(ops)
-	return nil
+	return serr
 }
 
 // truncateWAL chops a damaged log back to its last valid record and syncs.
@@ -281,11 +295,23 @@ func truncateWAL(path string, validLen int64) error {
 	return err
 }
 
-// syncDir fsyncs a directory so a rename/create/remove within it is durable
-// (best-effort: some filesystems refuse directory syncs).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+// errDirSync marks a failed directory fsync: the create, rename or remove
+// before it may not survive power loss.
+var errDirSync = errors.New("serve: syncing directory")
+
+// syncDir fsyncs a directory so a rename/create/remove within it is
+// durable, and returns the first error of opening, syncing or closing it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("%w: %w", errDirSync, err)
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("%w %s: %w", errDirSync, dir, err)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,5 +212,44 @@ func TestDecodeWALLineRejects(t *testing.T) {
 	}
 	if _, ok := decodeWALLine(string(bytes.TrimSuffix(enc, []byte("\n")))); !ok {
 		t.Fatal("decodeWALLine rejected a healthy encoded record")
+	}
+}
+
+// TestSyncDirReportsErrors checks that a directory sync that cannot happen
+// is reported, not swallowed: the create, rename or remove it was to make
+// durable might not survive power loss.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sessions")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncing an existing directory: %v", err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	err := syncDir(dir)
+	if !errors.Is(err, errDirSync) || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("syncing a removed directory returned %v, want a directory-sync error wrapping ErrNotExist", err)
+	}
+}
+
+// TestWALRemove checks that remove deletes the log and reports a failure
+// to do so.
+func TestWALRemove(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s-1.wal")
+	w, err := createWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.remove(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("log still present after remove (stat: %v)", err)
+	}
+	if err := w.remove(); err == nil {
+		t.Fatal("removing an already removed log reported success")
 	}
 }

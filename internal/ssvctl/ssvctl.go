@@ -353,13 +353,6 @@ func (r *Runtime) Step(measurements, externals, applied []float64) ([]float64, e
 	return phys, nil
 }
 
-// LastRawCommand returns the physical-unit command of the most recent Step
-// before saturation and quantization — a diagnostic for inspecting how hard
-// the controller is pushing against its actuator limits.
-func (r *Runtime) LastRawCommand() []float64 {
-	return append([]float64(nil), r.lastRaw...)
-}
-
 // GuardbandExceeded reports whether the runtime has detected sustained
 // deviations beyond the controller's guaranteed bounds — the paper's "the
 // controller detects it dynamically" behaviour.

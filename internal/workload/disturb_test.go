@@ -7,7 +7,7 @@ import (
 
 func testApp(t *testing.T) *App {
 	t.Helper()
-	a, err := NewApp("steady", "TEST", 100, []Phase{
+	a, err := NewApp("steady", 100, []Phase{
 		{WorkFrac: 1, Threads: 8, MemBound: 0.2, IPCBig: 1.5, IPCLittle: 0.7},
 	})
 	if err != nil {

@@ -4,8 +4,8 @@ import "fmt"
 
 // mustApp builds a catalog application, panicking on construction errors
 // (catalog entries are compile-time constants).
-func mustApp(name, suite string, total float64, phases []Phase) *App {
-	a, err := NewApp(name, suite, total, phases)
+func mustApp(name string, total float64, phases []Phase) *App {
+	a, err := NewApp(name, total, phases)
 	if err != nil {
 		panic(err)
 	}
@@ -20,78 +20,78 @@ func mustApp(name, suite string, total float64, phases []Phase) *App {
 // mcf/streamcluster/canneal).
 var catalog = map[string]*App{
 	// 8-threaded PARSEC with native inputs.
-	"blackscholes": mustApp("blackscholes", "PARSEC", 1050, []Phase{
+	"blackscholes": mustApp("blackscholes", 1050, []Phase{
 		{WorkFrac: 0.05, Threads: 1, MemBound: 0.10, IPCBig: 1.7, IPCLittle: 0.85},
 		{WorkFrac: 0.95, Threads: 8, MemBound: 0.12, IPCBig: 1.6, IPCLittle: 0.80},
 	}),
-	"bodytrack": mustApp("bodytrack", "PARSEC", 900, []Phase{
+	"bodytrack": mustApp("bodytrack", 900, []Phase{
 		{WorkFrac: 0.08, Threads: 2, MemBound: 0.25, IPCBig: 1.3, IPCLittle: 0.65},
 		{WorkFrac: 0.50, Threads: 8, MemBound: 0.30, IPCBig: 1.2, IPCLittle: 0.60},
 		{WorkFrac: 0.42, Threads: 8, MemBound: 0.35, IPCBig: 1.1, IPCLittle: 0.55},
 	}),
-	"facesim": mustApp("facesim", "PARSEC", 980, []Phase{
+	"facesim": mustApp("facesim", 980, []Phase{
 		{WorkFrac: 0.10, Threads: 4, MemBound: 0.30, IPCBig: 1.2, IPCLittle: 0.60},
 		{WorkFrac: 0.90, Threads: 8, MemBound: 0.38, IPCBig: 1.1, IPCLittle: 0.55},
 	}),
-	"fluidanimate": mustApp("fluidanimate", "PARSEC", 920, []Phase{
+	"fluidanimate": mustApp("fluidanimate", 920, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.42, IPCBig: 1.0, IPCLittle: 0.52},
 	}),
-	"raytrace": mustApp("raytrace", "PARSEC", 1100, []Phase{
+	"raytrace": mustApp("raytrace", 1100, []Phase{
 		{WorkFrac: 0.06, Threads: 1, MemBound: 0.15, IPCBig: 1.5, IPCLittle: 0.75},
 		{WorkFrac: 0.94, Threads: 8, MemBound: 0.18, IPCBig: 1.5, IPCLittle: 0.72},
 	}),
-	"x264": mustApp("x264", "PARSEC", 850, []Phase{
+	"x264": mustApp("x264", 850, []Phase{
 		{WorkFrac: 0.30, Threads: 6, MemBound: 0.25, IPCBig: 1.4, IPCLittle: 0.68},
 		{WorkFrac: 0.40, Threads: 8, MemBound: 0.28, IPCBig: 1.3, IPCLittle: 0.64},
 		{WorkFrac: 0.30, Threads: 5, MemBound: 0.22, IPCBig: 1.4, IPCLittle: 0.68},
 	}),
-	"canneal": mustApp("canneal", "PARSEC", 620, []Phase{
+	"canneal": mustApp("canneal", 620, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.60, IPCBig: 0.6, IPCLittle: 0.35},
 	}),
-	"streamcluster": mustApp("streamcluster", "PARSEC", 560, []Phase{
+	"streamcluster": mustApp("streamcluster", 560, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.66, IPCBig: 0.55, IPCLittle: 0.32},
 	}),
 
 	// 8 copies of SPEC CPU2006 programs with train inputs: thread count is
 	// constant at 8 (independent copies), phases capture input-set behaviour.
-	"h264ref": mustApp("h264ref", "SPEC06", 1150, []Phase{
+	"h264ref": mustApp("h264ref", 1150, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.20, IPCBig: 1.7, IPCLittle: 0.82},
 	}),
-	"mcf": mustApp("mcf", "SPEC06", 420, []Phase{
+	"mcf": mustApp("mcf", 420, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.78, IPCBig: 0.40, IPCLittle: 0.25},
 	}),
-	"omnetpp": mustApp("omnetpp", "SPEC06", 560, []Phase{
+	"omnetpp": mustApp("omnetpp", 560, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.55, IPCBig: 0.70, IPCLittle: 0.40},
 	}),
-	"gamess": mustApp("gamess", "SPEC06", 1350, []Phase{
+	"gamess": mustApp("gamess", 1350, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.08, IPCBig: 2.0, IPCLittle: 0.95},
 	}),
-	"gromacs": mustApp("gromacs", "SPEC06", 1250, []Phase{
+	"gromacs": mustApp("gromacs", 1250, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.14, IPCBig: 1.8, IPCLittle: 0.85},
 	}),
-	"dealII": mustApp("dealII", "SPEC06", 1050, []Phase{
+	"dealII": mustApp("dealII", 1050, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.30, IPCBig: 1.5, IPCLittle: 0.70},
 	}),
 
 	// Training set (paper §V-A): different programs from the evaluation set.
-	"swaptions": mustApp("swaptions", "TRAIN", 950, []Phase{
+	"swaptions": mustApp("swaptions", 950, []Phase{
 		{WorkFrac: 0.04, Threads: 1, MemBound: 0.08, IPCBig: 1.8, IPCLittle: 0.88},
 		{WorkFrac: 0.96, Threads: 8, MemBound: 0.10, IPCBig: 1.7, IPCLittle: 0.84},
 	}),
-	"vips": mustApp("vips", "TRAIN", 880, []Phase{
+	"vips": mustApp("vips", 880, []Phase{
 		{WorkFrac: 0.50, Threads: 8, MemBound: 0.28, IPCBig: 1.3, IPCLittle: 0.62},
 		{WorkFrac: 0.50, Threads: 6, MemBound: 0.33, IPCBig: 1.2, IPCLittle: 0.58},
 	}),
-	"astar": mustApp("astar", "TRAIN", 540, []Phase{
+	"astar": mustApp("astar", 540, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.50, IPCBig: 0.8, IPCLittle: 0.45},
 	}),
-	"perlbench": mustApp("perlbench", "TRAIN", 980, []Phase{
+	"perlbench": mustApp("perlbench", 980, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.25, IPCBig: 1.5, IPCLittle: 0.72},
 	}),
-	"milc": mustApp("milc", "TRAIN", 460, []Phase{
+	"milc": mustApp("milc", 460, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.70, IPCBig: 0.5, IPCLittle: 0.30},
 	}),
-	"namd": mustApp("namd", "TRAIN", 1200, []Phase{
+	"namd": mustApp("namd", 1200, []Phase{
 		{WorkFrac: 1.0, Threads: 8, MemBound: 0.12, IPCBig: 1.8, IPCLittle: 0.86},
 	}),
 }

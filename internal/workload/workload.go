@@ -61,7 +61,6 @@ type Workload interface {
 // App is a phase-structured application model.
 type App struct {
 	name   string
-	suite  string
 	phases []Phase
 	total  float64 // billions of instructions
 
@@ -70,7 +69,7 @@ type App struct {
 
 // NewApp builds an application from its phase list. Phase work fractions
 // must sum to 1 within 1e-6.
-func NewApp(name, suite string, totalGInst float64, phases []Phase) (*App, error) {
+func NewApp(name string, totalGInst float64, phases []Phase) (*App, error) {
 	if totalGInst <= 0 {
 		return nil, fmt.Errorf("workload: %s: total instructions must be positive", name)
 	}
@@ -90,14 +89,11 @@ func NewApp(name, suite string, totalGInst float64, phases []Phase) (*App, error
 	}
 	ph := make([]Phase, len(phases))
 	copy(ph, phases)
-	return &App{name: name, suite: suite, phases: ph, total: totalGInst}, nil
+	return &App{name: name, phases: ph, total: totalGInst}, nil
 }
 
 // Name returns the application name.
 func (a *App) Name() string { return a.name }
-
-// Suite returns "PARSEC", "SPEC06" or "TRAIN".
-func (a *App) Suite() string { return a.suite }
 
 // Total returns total work in billions of instructions.
 func (a *App) Total() float64 { return a.total }
@@ -155,7 +151,7 @@ func (a *App) Advance(gInst float64) bool {
 func (a *App) Clone() *App {
 	ph := make([]Phase, len(a.phases))
 	copy(ph, a.phases)
-	return &App{name: a.name, suite: a.suite, phases: ph, total: a.total}
+	return &App{name: a.name, phases: ph, total: a.total}
 }
 
 // Mix runs several applications concurrently (the heterogeneous workloads of

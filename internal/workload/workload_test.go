@@ -7,18 +7,18 @@ import (
 
 func TestNewAppValidation(t *testing.T) {
 	ok := []Phase{{WorkFrac: 1, Threads: 4, MemBound: 0.2, IPCBig: 1, IPCLittle: 0.5}}
-	if _, err := NewApp("x", "T", 0, ok); err == nil {
+	if _, err := NewApp("x", 0, ok); err == nil {
 		t.Fatal("expected error for zero total")
 	}
-	if _, err := NewApp("x", "T", 10, nil); err == nil {
+	if _, err := NewApp("x", 10, nil); err == nil {
 		t.Fatal("expected error for no phases")
 	}
 	bad := []Phase{{WorkFrac: 0.5, Threads: 4, MemBound: 0.2, IPCBig: 1, IPCLittle: 0.5}}
-	if _, err := NewApp("x", "T", 10, bad); err == nil {
+	if _, err := NewApp("x", 10, bad); err == nil {
 		t.Fatal("expected error for fractions not summing to 1")
 	}
 	bad2 := []Phase{{WorkFrac: 1, Threads: 0, MemBound: 0.2, IPCBig: 1, IPCLittle: 0.5}}
-	if _, err := NewApp("x", "T", 10, bad2); err == nil {
+	if _, err := NewApp("x", 10, bad2); err == nil {
 		t.Fatal("expected error for zero threads")
 	}
 }
