@@ -144,10 +144,10 @@ func outputScalesFrom(y [][]float64) []sysid.Scaling {
 	return scales
 }
 
-// modelFor fits an order-4 MIMO ARX model over the selected input and output
-// columns, stabilizes it, and reduces it to at most maxOrder states.
-func (td *TrainingData) modelFor(inCols, outCols []int, maxOrder int) (*lti.StateSpace, error) {
-	d := &sysid.Dataset{}
+// dataset returns the identification dataset over the selected input and
+// output columns, in normalized units.
+func (td *TrainingData) dataset(inCols, outCols []int) *sysid.Dataset {
+	d := &sysid.Dataset{U: make([][]float64, len(td.U)), Y: make([][]float64, len(td.U))}
 	for t := range td.U {
 		u := make([]float64, len(inCols))
 		for i, c := range inCols {
@@ -157,9 +157,15 @@ func (td *TrainingData) modelFor(inCols, outCols []int, maxOrder int) (*lti.Stat
 		for i, c := range outCols {
 			y[i] = td.OutScales[c].Normalize(td.Y[t][c])
 		}
-		d.Append(u, y)
+		d.U[t], d.Y[t] = u, y
 	}
-	m, err := sysid.Identify(d, sysid.PaperOrders, 0.5)
+	return d
+}
+
+// modelFor fits an order-4 MIMO ARX model over the selected input and output
+// columns, stabilizes it, and reduces it to at most maxOrder states.
+func (td *TrainingData) modelFor(inCols, outCols []int, maxOrder int) (*lti.StateSpace, error) {
+	m, err := sysid.Identify(td.dataset(inCols, outCols), sysid.PaperOrders, 0.5)
 	if err != nil {
 		return nil, fmt.Errorf("core: identification failed: %w", err)
 	}
@@ -217,20 +223,7 @@ func (td *TrainingData) OSOnlyModel() (*lti.StateSpace, error) {
 // SelectHWOrder runs cross-validated ARX order selection (§IV-C's "dimension
 // four" justified empirically) over the hardware layer's signals.
 func (p *Platform) SelectHWOrder(maxOrder int) ([]sysid.OrderScore, sysid.Orders, error) {
-	d := &sysid.Dataset{}
-	td := p.Data
-	for t := range td.U {
-		u := make([]float64, len(hwInCols))
-		for i, c := range hwInCols {
-			u[i] = td.InScales[c].Normalize(td.U[t][c])
-		}
-		y := make([]float64, len(hwOutCols))
-		for i, c := range hwOutCols {
-			y[i] = td.OutScales[c].Normalize(td.Y[t][c])
-		}
-		d.Append(u, y)
-	}
-	return sysid.SelectOrder(d, maxOrder, 0.5)
+	return sysid.SelectOrder(p.Data.dataset(hwInCols, hwOutCols), maxOrder, 0.5)
 }
 
 // scalesFor projects the stored scalings onto column sets.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"yukta/internal/board"
@@ -9,6 +10,7 @@ import (
 	"yukta/internal/lqgctl"
 	"yukta/internal/lti"
 	"yukta/internal/obs"
+	"yukta/internal/pool"
 	"yukta/internal/robust"
 	"yukta/internal/ssvctl"
 )
@@ -101,27 +103,39 @@ type decoupEntry struct {
 }
 
 // NewPlatform collects training data on the given board configuration and
-// fits the four models used by the schemes.
+// fits the five models used by the schemes.
 func NewPlatform(cfg board.Config, opt IdentifyOptions) (*Platform, error) {
 	td, err := CollectTrainingData(cfg, opt)
 	if err != nil {
 		return nil, err
 	}
 	p := &Platform{Cfg: cfg, Lim: heuristic.DefaultLimits(), Data: td}
-	if p.HW, err = td.HWModel(); err != nil {
-		return nil, err
+	// The five fits only read td, so they run concurrently, each writing its
+	// own model and error slot (DESIGN.md §18). Mono, the longest fit,
+	// starts first. The errors are checked in the order HW, OS, HWOnly,
+	// OSOnly, Mono, so the failure reported is the one a sequential chain
+	// of fits would stop at.
+	fits := []struct {
+		dst **lti.StateSpace
+		fit func() (*lti.StateSpace, error)
+	}{
+		{&p.Mono, td.MonoModel},
+		{&p.HW, td.HWModel},
+		{&p.OS, td.OSModel},
+		{&p.HWOnly, td.HWOnlyModel},
+		{&p.OSOnly, td.OSOnlyModel},
 	}
-	if p.OS, err = td.OSModel(); err != nil {
-		return nil, err
-	}
-	if p.HWOnly, err = td.HWOnlyModel(); err != nil {
-		return nil, err
-	}
-	if p.OSOnly, err = td.OSOnlyModel(); err != nil {
-		return nil, err
-	}
-	if p.Mono, err = td.MonoModel(); err != nil {
-		return nil, err
+	errs := make([]error, len(fits))
+	// Jobs return nil, so a failure skips no other fit and ForEach has no
+	// error to report.
+	_ = pool.ForEach(runtime.GOMAXPROCS(0), len(fits), func(i int) error {
+		*fits[i].dst, errs[i] = fits[i].fit()
+		return nil
+	})
+	for _, i := range []int{1, 2, 3, 4, 0} {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 	}
 	return p, nil
 }

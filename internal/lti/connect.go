@@ -6,29 +6,6 @@ import (
 	"yukta/internal/mat"
 )
 
-// Series returns the cascade g2*g1 (u -> g1 -> g2 -> y).
-func Series(g1, g2 *StateSpace) (*StateSpace, error) {
-	if g1.Outputs() != g2.Inputs() {
-		return nil, fmt.Errorf("%w: series %d outputs into %d inputs", ErrDimension, g1.Outputs(), g2.Inputs())
-	}
-	if g1.Ts != g2.Ts {
-		return nil, fmt.Errorf("lti: series sampling mismatch %v vs %v", g1.Ts, g2.Ts)
-	}
-	n1, n2 := g1.Order(), g2.Order()
-	a := mat.Zeros(n1+n2, n1+n2)
-	a.SetSlice(0, 0, g1.A)
-	a.SetSlice(n1, n1, g2.A)
-	a.SetSlice(n1, 0, g2.B.Mul(g1.C))
-	b := mat.Zeros(n1+n2, g1.Inputs())
-	b.SetSlice(0, 0, g1.B)
-	b.SetSlice(n1, 0, g2.B.Mul(g1.D))
-	c := mat.Zeros(g2.Outputs(), n1+n2)
-	c.SetSlice(0, 0, g2.D.Mul(g1.C))
-	c.SetSlice(0, n1, g2.C)
-	d := g2.D.Mul(g1.D)
-	return NewStateSpace(a, b, c, d, g1.Ts)
-}
-
 // Parallel returns g1 + g2 (shared input, summed outputs).
 func Parallel(g1, g2 *StateSpace) (*StateSpace, error) {
 	if g1.Inputs() != g2.Inputs() || g1.Outputs() != g2.Outputs() {

@@ -135,40 +135,6 @@ func TestHInfStaticGain(t *testing.T) {
 	}
 }
 
-func TestSeriesMatchesProduct(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g1 := randStable(rng, 1+rng.Intn(3), 2, 2)
-		g2 := randStable(rng, 1+rng.Intn(3), 2, 2)
-		s, err := Series(g1, g2)
-		if err != nil {
-			return false
-		}
-		// Check at several points on the unit circle: S(z) = G2(z)G1(z).
-		for _, theta := range []float64{0.1, 0.7, 2.0} {
-			z := cmplx.Exp(complex(0, theta))
-			sg, err1 := s.Evaluate(z)
-			g1v, err2 := g1.Evaluate(z)
-			g2v, err3 := g2.Evaluate(z)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return false
-			}
-			want := g2v.Mul(g1v)
-			for i := 0; i < sg.Rows(); i++ {
-				for j := 0; j < sg.Cols(); j++ {
-					if cmplx.Abs(sg.At(i, j)-want.At(i, j)) > 1e-8 {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParallelMatchesSum(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

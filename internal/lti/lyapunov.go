@@ -86,8 +86,8 @@ func (s *StateSpace) BalancedTruncation(r int) (*StateSpace, error) {
 	// approximates balanced truncation without requiring an eigenvector
 	// decomposition.
 	m := wc.Mul(wo)
-	v := dominantSubspace(m, r)
-	w := dominantSubspace(m.T(), r)
+	v := dominantSubspace(m, r, subspaceRounds)
+	w := dominantSubspace(m.T(), r, subspaceRounds)
 	wtv := w.T().Mul(v)
 	wtvInv, err := mat.Inverse(wtv)
 	if err != nil {
@@ -100,54 +100,115 @@ func (s *StateSpace) BalancedTruncation(r int) (*StateSpace, error) {
 	return NewStateSpace(ar, br, cr, s.D.Clone(), s.Ts)
 }
 
+// subspaceRounds is the number of subspace-iteration rounds
+// BalancedTruncation runs.
+const subspaceRounds = 200
+
 // dominantSubspace returns an orthonormal basis (n×r) for the dominant
-// invariant subspace of m via subspace iteration.
-func dominantSubspace(m *mat.Matrix, r int) *mat.Matrix {
+// invariant subspace of m via rounds of subspace iteration.
+//
+// The iteration runs in one workspace allocated up front: a row-major copy
+// of m and two bases stored column by column, so that every column is
+// contiguous. Each round forms the product into the spare basis and
+// re-orthonormalizes it in place. Every sum keeps the terms and the order
+// of m.Mul followed by modified Gram–Schmidt over mat.Matrix values, so the
+// basis has their bits (DESIGN.md §18).
+func dominantSubspace(m *mat.Matrix, r, rounds int) *mat.Matrix {
 	n := m.Rows()
-	v := mat.Zeros(n, r)
+	ws := make([]float64, n*n+2*n*r)
+	a, v, next := ws[:n*n], ws[n*n:n*n+n*r], ws[n*n+n*r:]
 	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			a[i*n+k] = m.At(i, k)
+		}
 		for j := 0; j < r; j++ {
 			// Deterministic, generically independent start basis.
 			s := math.Sin(float64(1 + i*r + j))
 			if j == i%r {
 				s += 0.1
 			}
-			v.Set(i, j, s)
+			v[j*n+i] = s
 		}
 	}
-	v = orthonormalize(v)
-	for iter := 0; iter < 200; iter++ {
-		v = orthonormalize(m.Mul(v))
+	orthonormalize(v, n)
+	for iter := 0; iter < rounds; iter++ {
+		mulColumns(next, a, v, n)
+		orthonormalize(next, n)
+		v, next = next, v
 	}
-	return v
+	out := mat.Zeros(n, r)
+	for j := 0; j < r; j++ {
+		for i, x := range v[j*n : (j+1)*n] {
+			out.Set(i, j, x)
+		}
+	}
+	return out
 }
 
-// orthonormalize applies modified Gram-Schmidt to the columns of v.
-func orthonormalize(v *mat.Matrix) *mat.Matrix {
-	out := v.Clone()
-	for j := 0; j < out.Cols(); j++ {
-		col := out.Col(j)
+// mulColumns sets dst = a·v, where a is a row-major n×n matrix and v and
+// dst hold columns of length n back to back. Every element starts at zero
+// and adds a[i][k]·v[k][j] for k ascending, skipping a[i][k] == 0, exactly
+// as mat.Matrix.Mul does; four columns share each pass over a row of a.
+func mulColumns(dst, a, v []float64, n int) {
+	r := len(v) / n
+	j := 0
+	for ; j+4 <= r; j += 4 {
+		c0, c1, c2, c3 := v[j*n:(j+1)*n], v[(j+1)*n:(j+2)*n], v[(j+2)*n:(j+3)*n], v[(j+3)*n:(j+4)*n]
+		for i := 0; i < n; i++ {
+			row := a[i*n : (i+1)*n]
+			var s0, s1, s2, s3 float64
+			for k, mv := range row {
+				if mv == 0 {
+					continue
+				}
+				s0 += float64(mv * c0[k])
+				s1 += float64(mv * c1[k])
+				s2 += float64(mv * c2[k])
+				s3 += float64(mv * c3[k])
+			}
+			dst[j*n+i], dst[(j+1)*n+i], dst[(j+2)*n+i], dst[(j+3)*n+i] = s0, s1, s2, s3
+		}
+	}
+	for ; j < r; j++ {
+		c := v[j*n : (j+1)*n]
+		for i := 0; i < n; i++ {
+			var s float64
+			for k, mv := range a[i*n : (i+1)*n] {
+				if mv == 0 {
+					continue
+				}
+				s += float64(mv * c[k])
+			}
+			dst[j*n+i] = s
+		}
+	}
+}
+
+// orthonormalize applies modified Gram-Schmidt, in place, to the columns of
+// length n stored back to back in v.
+func orthonormalize(v []float64, n int) {
+	for j := 0; j < len(v)/n; j++ {
+		col := v[j*n : (j+1)*n]
 		for k := 0; k < j; k++ {
-			prev := out.Col(k)
+			prev := v[k*n : (k+1)*n]
 			var dot float64
-			for i := range col {
-				dot += col[i] * prev[i]
+			for i, x := range col {
+				dot += float64(x * prev[i])
 			}
 			for i := range col {
-				col[i] -= dot * prev[i]
+				col[i] -= float64(dot * prev[i])
 			}
 		}
 		var nrm float64
 		for _, x := range col {
-			nrm += x * x
+			nrm += float64(x * x)
 		}
 		nrm = math.Sqrt(nrm)
 		if nrm < 1e-300 {
 			nrm = 1
 		}
 		for i := range col {
-			out.Set(i, j, col[i]/nrm)
+			col[i] /= nrm
 		}
 	}
-	return out
 }

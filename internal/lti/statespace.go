@@ -148,17 +148,17 @@ func (s *StateSpace) HInfNorm() (float64, error) {
 	}
 	const phi = 0.6180339887498949
 	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
+	x1 := b - float64(phi*(b-a))
+	x2 := a + float64(phi*(b-a))
 	f1, f2 := eval(x1), eval(x2)
 	for iter := 0; iter < 40 && b-a > 1e-10; iter++ {
 		if f1 < f2 { // maximize
 			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
+			x2 = a + float64(phi*(b-a))
 			f2 = eval(x2)
 		} else {
 			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
+			x1 = b - float64(phi*(b-a))
 			f1 = eval(x1)
 		}
 	}

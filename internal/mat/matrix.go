@@ -308,7 +308,7 @@ func (m *Matrix) MaxAbs() float64 {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

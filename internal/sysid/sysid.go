@@ -39,7 +39,7 @@ func (s Scaling) Normalize(x float64) float64 {
 
 // Denormalize maps a normalized value back to physical units.
 func (s Scaling) Denormalize(n float64) float64 {
-	return s.Min + (n+1)*(s.Max-s.Min)/2
+	return s.Min + float64((n+1)*(s.Max-s.Min)/2)
 }
 
 // QuantumNormalized converts a physical quantization step to normalized units.
@@ -317,9 +317,9 @@ func (m *Model) Evaluate(d *Dataset) (Metrics, error) {
 		pred := m.Predict(d, t)
 		for j := 0; j < ny; j++ {
 			e := d.Y[t][j] - pred[j]
-			sse[j] += e * e
+			sse[j] += float64(e * e)
 			dm := d.Y[t][j] - mean[j]
-			sst[j] += dm * dm
+			sst[j] += float64(dm * dm)
 		}
 	}
 	met := Metrics{RMSE: make([]float64, ny), R2: make([]float64, ny)}
