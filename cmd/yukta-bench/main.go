@@ -64,7 +64,7 @@ func main() {
 		fleetScl  = flag.String("fleetscale", "", "run the engine scaling-curve benchmark over these comma-separated fleet sizes (e.g. 64,256)")
 		benchOut  = flag.String("benchout", "", "write the scaling-curve benchmark report as JSON to this file")
 		sclGuard  = flag.Bool("scaleguard", false, "fail unless the event engine beats lockstep at the largest -fleetscale size (regression gate)")
-		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps and -topoguard (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = flat")
+		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps and -topoguard (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = one coordinator over all boards")
 		sclDepths = flag.String("scaledepths", "", "with -fleetscale, also measure balanced coordinator trees at these comma-separated depths (e.g. 1,2,3)")
 		topoGuard = flag.String("topoguard", "", "committed scaling report JSON (BENCH_evloop.json): re-run the -fleet-topo scenario and fail if it diverges from the committed tree point")
 	)

@@ -7,17 +7,18 @@ import (
 	"yukta/internal/board"
 	"yukta/internal/fault"
 	"yukta/internal/obs"
-	"yukta/internal/sched"
 	"yukta/internal/workload"
 )
 
-// Engine selects the simulation core that advances a run through time.
+// Engine selects the simulation core that advances a fleet run through
+// time. A solo run has one board and no interaction points, so both names
+// select the same single loop there; the name is still validated.
 //
-// Both engines execute identical per-interval physics and controller steps
-// and are byte-identical in every observable output (results, per-board
-// traces, fleet traces) at any parallelism; they differ only in how the
-// clock finds the next board to step. The golden-trace suite and
-// TestEngineEquivalence pin the equivalence.
+// Both engines execute the identical per-interval body (boardRun.step) and
+// are byte-identical in every observable output (results, per-board traces,
+// fleet traces) at any parallelism; they differ only in how the clock finds
+// the next board to step. The golden-trace suite and TestEngineEquivalence
+// pin the equivalence.
 type Engine string
 
 const (
@@ -62,87 +63,111 @@ const (
 	evWake
 )
 
-// soloRun is the per-run state shared by both engines of Run: the loop body
-// is identical; only the schedule that invokes it differs.
-type soloRun struct {
+// boardRun is one board's per-interval state: its workload, board, controller
+// session, fault injector and observation taps. A solo run, a hosted StepRun
+// and every fleet member each hold one and advance it through the same step,
+// so a board consumes its fault RNG stream and records its trace identically
+// whichever caller drives it.
+type boardRun struct {
 	w        workload.Workload
 	b        *board.Board
 	sess     Session
 	inj      *fault.Injector
-	opt      *RunOptions
-	res      *RunResult
-	observe  bool
-	lat      *obs.Histogram
-	hp       healthProbe
-	fp       flightProber
-	maxSteps int
+	interval time.Duration
+
+	// Observation taps, nil when unobserved: the step-latency histogram, the
+	// per-interval trace and the session's health and flight probes (set
+	// only when traced).
+	lat   *obs.Histogram
+	trace *obs.Recorder
+	hp    healthProbe
+	fp    flightProber
 
 	prevFaults fault.Stats
-	sensors    board.Sensors
+	sens       board.Sensors
+}
+
+// newBoardRun instantiates the scheme and builds a fresh board running w.
+// When faults is enabled, runKey selects the board's fault stream: its
+// injector taps the board's sensor and actuator paths and its phase
+// disturbance wraps the workload. trace and metrics may be nil; a board
+// without them takes no time.Now calls and no extra allocations per step.
+func newBoardRun(cfg board.Config, sch Scheme, w workload.Workload, runKey string,
+	faults fault.Plan, interval time.Duration, trace *obs.Recorder, metrics *obs.Registry) (boardRun, error) {
+
+	sess, err := sch.New()
+	if err != nil {
+		return boardRun{}, fmt.Errorf("core: building scheme %q: %w", sch.Name, err)
+	}
+	r := boardRun{sess: sess, interval: interval, trace: trace}
+	if faults.Enabled() {
+		r.inj = faults.NewInjector(runKey)
+		w = faults.Disturb(w, runKey)
+	}
+	w.Reset()
+	r.w = w
+	r.b = board.New(cfg)
+	if r.inj != nil {
+		r.b.AttachSensorTap(r.inj)
+		r.b.AttachActuatorTap(r.inj)
+	}
+	if trace != nil {
+		r.hp, _ = sess.(healthProbe)
+		r.fp, _ = sess.(flightProber)
+	}
+	if metrics != nil {
+		r.lat = metrics.Histogram("step_latency_us/"+sch.Name, obs.LatencyBucketsUS())
+	}
+	return r, nil
+}
+
+// step executes control interval i: advance the fault injector, run the
+// board physics, invoke the controller stack, and feed the observation
+// taps. It is the single definition of "one control interval".
+func (r *boardRun) step(i int) {
+	if r.inj != nil {
+		r.inj.Advance(r.b)
+	}
+	r.sens = r.b.Run(r.w, r.interval)
+	var t0 time.Time
+	observe := r.lat != nil || r.trace != nil
+	if observe {
+		t0 = time.Now()
+	}
+	r.sess.Step(r.sens, r.b, r.w.Profile().Threads)
+	if observe {
+		latNS := time.Since(t0).Nanoseconds()
+		if r.lat != nil {
+			r.lat.Observe(float64(latNS) / 1e3)
+		}
+		if r.trace != nil {
+			recordInterval(r.trace, i, r.sens, r.b, r.inj, &r.prevFaults, r.hp, r.fp, latNS)
+		}
+	}
+}
+
+// soloRun is the state of one single-board run, shared by the batch Run and
+// the incrementally driven StepRun.
+type soloRun struct {
+	boardRun
+	opt      *RunOptions
+	res      *RunResult
+	maxSteps int
 
 	// counted latches countOnce so a run folds into the metrics registry at
 	// most once, however many times its result is finalized.
 	counted bool
 }
 
-// step executes control interval i: advance the fault injector, run the
-// board physics, invoke the controller stack, and feed the observation
-// taps. It is the single definition of "one control interval" for both
-// engines.
-func (r *soloRun) step(i int) {
-	if r.inj != nil {
-		r.inj.Advance(r.b)
-	}
-	r.sensors = r.b.Run(r.w, r.opt.Interval)
-	var t0 time.Time
-	if r.observe {
-		t0 = time.Now()
-	}
-	r.sess.Step(r.sensors, r.b, r.w.Profile().Threads)
-	if r.observe {
-		latNS := time.Since(t0).Nanoseconds()
-		if r.lat != nil {
-			r.lat.Observe(float64(latNS) / 1e3)
-		}
-		if r.opt.Trace != nil {
-			recordInterval(r.opt.Trace, i, r.sensors, r.b, r.inj, &r.prevFaults, r.hp, r.fp, latNS)
-		}
-	}
+// advance executes control interval i and appends its samples to the
+// result's series.
+func (r *soloRun) advance(i int) {
+	r.step(i)
 	if !r.opt.SkipSeries {
-		r.res.BigPower.Add(r.sensors.TimeS, r.sensors.BigPowerW)
-		r.res.LittlePower.Add(r.sensors.TimeS, r.sensors.LittlePowerW)
-		r.res.Perf.Add(r.sensors.TimeS, r.sensors.BIPS)
-		r.res.Temp.Add(r.sensors.TimeS, r.sensors.TempC)
-		r.res.BigFreq.Add(r.sensors.TimeS, r.b.EffectiveBigFreq())
-	}
-}
-
-// runLockstep advances the run one interval at a time — the reference
-// schedule.
-func (r *soloRun) runLockstep() {
-	for i := 0; i < r.maxSteps && !r.w.Done(); i++ {
-		r.step(i)
-	}
-}
-
-// runEvent advances the run on the discrete-event clock. A solo board has
-// no external interaction points before MaxTime — no fleet layer can change
-// its cap mid-run — so the next-wake computation degenerates to a single
-// wake whose batch is every remaining interval: the controller still steps
-// each interval (its dynamics are per-interval state, so anything coarser
-// would change the trace), but the clock is consulted once instead of
-// maxSteps times.
-func (r *soloRun) runEvent() {
-	h := sched.NewHeap(1)
-	h.Push(sched.Event{Time: 0, Kind: evWake})
-	for h.Len() > 0 {
-		e := h.Pop()
-		if e.Kind != evWake {
-			continue
-		}
-		for i := e.Time; i < r.maxSteps && !r.w.Done(); i++ {
-			r.step(i)
-		}
-		// Completion or MaxTime: nothing reschedules, the clock drains.
+		r.res.BigPower.Add(r.sens.TimeS, r.sens.BigPowerW)
+		r.res.LittlePower.Add(r.sens.TimeS, r.sens.LittlePowerW)
+		r.res.Perf.Add(r.sens.TimeS, r.sens.BIPS)
+		r.res.Temp.Add(r.sens.TimeS, r.sens.TempC)
+		r.res.BigFreq.Add(r.sens.TimeS, r.b.EffectiveBigFreq())
 	}
 }

@@ -65,19 +65,17 @@ func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng En
 	return buf.Bytes()
 }
 
-// fleetFingerprint executes one fleet run on the given engine and returns
-// the fleet JSONL trace, every per-board JSONL trace, and every scalar of
-// the result.
-func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int, eng Engine) []byte {
+// fleetFingerprint executes one n-board fleet run under the given topology
+// (nil: the one-level tree) on the given engine and returns the fleet JSONL
+// trace, every per-board JSONL trace, and every scalar of the result.
+func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int,
+	topo *fleet.Topology, eng Engine) []byte {
 	t.Helper()
 	members := fleetTestMembers(t, p, n, sch)
-	pol, err := fleet.NewPolicy("feedback")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := FleetOptions{
 		Budget:      fleet.Budget{TotalW: 2.2 * float64(n), MinW: 1.0, MaxW: 4.5},
-		Policy:      pol,
+		Topology:    topo,
+		TreePolicy:  testTreePolicy("feedback"),
 		MaxTime:     30 * time.Second,
 		Parallelism: 4,
 		Engine:      eng,
@@ -95,17 +93,21 @@ func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fingerprintFleetOutput(t, opt.Trace, boardRecs, res)
-}
-
-// fingerprintFleetOutput serializes a fleet run's observable output — the
-// fleet trace, every per-board trace, and the result scalars shared by flat
-// and hierarchical runs — for byte-level comparison.
-func fingerprintFleetOutput(t *testing.T, trace *obs.FleetRecorder,
-	boardRecs []*obs.Recorder, res *FleetResult) []byte {
-	t.Helper()
+	want := topo
+	if want == nil {
+		if want, err = fleet.Uniform(n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.Topology != want.Spec || res.Nodes != len(want.Nodes) || res.Depth != want.Depth {
+		t.Fatalf("tree result metadata %q/%d/%d, want %q/%d/%d",
+			res.Topology, res.Nodes, res.Depth, want.Spec, len(want.Nodes), want.Depth)
+	}
+	if res.NodeReallocations < res.Reallocations {
+		t.Fatalf("node reallocations %d < realloc instants %d", res.NodeReallocations, res.Reallocations)
+	}
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf); err != nil {
+	if err := opt.Trace.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for i, rec := range boardRecs {
@@ -175,8 +177,8 @@ func TestEngineEquivalence(t *testing.T) {
 					ns = fleetNs[ci%3 : ci%3+1]
 				}
 				for _, n := range ns {
-					lock := fleetFingerprint(t, p, sch, class, n, EngineLockstep)
-					ev := fleetFingerprint(t, p, sch, class, n, EngineEvent)
+					lock := fleetFingerprint(t, p, sch, class, n, nil, EngineLockstep)
+					ev := fleetFingerprint(t, p, sch, class, n, nil, EngineEvent)
 					if len(lock) == 0 {
 						t.Fatalf("empty fleet fingerprint at N=%d", n)
 					}

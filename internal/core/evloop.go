@@ -22,29 +22,22 @@ import (
 // nothing and falls out of the clock entirely.
 //
 // Byte-identity with runLockstep holds because nothing observable moves:
-// stepBoard is the shared interval body (fault RNG, physics, controller,
-// per-board trace), realloc is the shared coordinator body and fires at the
-// same instants with boards in the same states, and the fleet trace is
+// boardRun.step is the shared interval body (fault RNG, physics, controller,
+// per-board trace), reallocTree is the shared coordinator body and fires at
+// the same instants with boards in the same states, and the fleet trace is
 // reconstructed per interval from samples latched during the batches (see
 // flushEpoch). The golden suite and TestEngineEquivalence pin this.
 func (f *fleetRun) runEvent() error {
 	if f.maxSteps <= 0 {
 		return nil
 	}
-	nodes := 1
-	if f.tree != nil {
-		nodes = len(f.tree.Nodes)
-	}
+	nodes := len(f.tree.Nodes)
 	h := sched.NewHeap(f.n + nodes)
-	if f.tree != nil {
-		// One reallocation event per tree node, each on its own cadence.
-		// Event IDs are preorder node indices, so simultaneous events pop
-		// parent-first and the due list reaches Tree.Realloc in preorder.
-		for i := range f.tree.Nodes {
-			h.Push(sched.Event{Time: 0, Kind: evRealloc, ID: int32(i)})
-		}
-	} else {
-		h.Push(sched.Event{Time: 0, Kind: evRealloc})
+	// One reallocation event per tree node, each on its own cadence. Event
+	// IDs are preorder node indices, so simultaneous events pop parent-first
+	// and the due list reaches Tree.Realloc in preorder.
+	for i := range f.tree.Nodes {
+		h.Push(sched.Event{Time: 0, Kind: evRealloc, ID: int32(i)})
 	}
 	for _, fb := range f.boards {
 		fb.wokeEpoch = -1
@@ -59,8 +52,8 @@ func (f *fleetRun) runEvent() error {
 	ready := make([]*fleetBoard, 0, f.n)
 
 	for h.Len() > 0 {
-		// Lockstep stops stepping the instant the last board finishes; a
-		// tree run can still hold future realloc events for slow-cadence
+		// Lockstep stops stepping the instant the last board finishes; the
+		// heap can still hold future realloc events for slow-cadence
 		// coordinators, which must not fire on an empty fleet.
 		if f.live.Load() == 0 {
 			break
@@ -71,18 +64,12 @@ func (f *fleetRun) runEvent() error {
 		if barrier > f.maxSteps {
 			barrier = f.maxSteps
 		}
-		reallocFired := false
 		ready = ready[:0]
 		f.due = f.due[:0]
 		for _, e := range batch {
 			switch e.Kind {
 			case evRealloc:
-				if f.tree != nil {
-					f.due = append(f.due, int(e.ID))
-				} else {
-					f.realloc()
-					reallocFired = true
-				}
+				f.due = append(f.due, int(e.ID))
 			case evWake:
 				fb := f.boards[e.ID]
 				if !fb.done {
@@ -91,9 +78,9 @@ func (f *fleetRun) runEvent() error {
 				}
 			}
 		}
-		if len(f.due) > 0 {
+		reallocFired := len(f.due) > 0
+		if reallocFired {
 			f.reallocTree()
-			reallocFired = true
 		}
 		if len(ready) == 0 {
 			continue
@@ -118,17 +105,13 @@ func (f *fleetRun) runEvent() error {
 			f.flushEpoch(t, epochSteps, reallocFired)
 		}
 		if f.live.Load() > 0 {
-			if f.tree != nil {
-				// Each node that fired reschedules on its own period; the
-				// others' events are still pending in the heap.
-				for _, i := range f.due {
-					next := t + f.tree.Nodes[i].Period
-					if next < f.maxSteps {
-						h.Push(sched.Event{Time: next, Kind: evRealloc, ID: int32(i)})
-					}
+			// Each node that fired reschedules on its own period; the
+			// others' events are still pending in the heap.
+			for _, i := range f.due {
+				next := t + f.tree.Nodes[i].Period
+				if next < f.maxSteps {
+					h.Push(sched.Event{Time: next, Kind: evRealloc, ID: int32(i)})
 				}
-			} else if barrier < f.maxSteps {
-				h.Push(sched.Event{Time: barrier, Kind: evRealloc})
 			}
 			if barrier < f.maxSteps {
 				for _, fb := range f.boards {
@@ -143,15 +126,25 @@ func (f *fleetRun) runEvent() error {
 }
 
 // runBatch executes one board's intervals from start up to the reallocation
-// barrier, stopping early when the workload completes. Runs on a pool
-// worker; touches only its own board.
+// barrier, stopping early when the workload completes, and latches each
+// interval's fleet-trace sample when a fleet trace is attached. Runs on a
+// pool worker; touches only its own board.
 func (f *fleetRun) runBatch(fb *fleetBoard, start, barrier int) {
-	fb.epochStart = start
 	fb.batchLen = 0
 	for step := start; step < barrier; step++ {
-		f.stepBoard(fb, step)
+		fb.step(step)
 		fb.batchLen++
-		if fb.done {
+		if fb.samples != nil {
+			fb.samples[step-start] = fleetSample{
+				bigW:            fb.sens.BigPowerW,
+				littleW:         fb.sens.LittlePowerW,
+				bips:            fb.sens.BIPS,
+				budgetThrottled: fb.b.BudgetThrottled(),
+			}
+		}
+		if fb.w.Done() {
+			fb.done = true
+			f.live.Add(-1)
 			break
 		}
 	}
@@ -173,11 +166,6 @@ func (f *fleetRun) runBatch(fb *fleetBoard, start, barrier int) {
 //     recorded as Done, contributing only its cap share, like in lockstep.
 func (f *fleetRun) flushEpoch(t, epochSteps int, reallocFired bool) {
 	for j := 0; j < epochSteps; j++ {
-		if f.tree == nil {
-			f.opt.Trace.Add(f.epochRecord(t, j, 0, f.n, f.opt.Budget.TotalW, "",
-				j == 0 && reallocFired))
-			continue
-		}
 		// One record per tree node, preorder (root first, node path ""),
 		// exactly as the lockstep engine's traceStep writes them. Budgets
 		// and caps changed only at the epoch start, so reading them at the

@@ -29,23 +29,20 @@ type FleetMember struct {
 
 // FleetOptions bounds a fleet run.
 type FleetOptions struct {
-	// Budget is the shared fleet power budget and per-board bounds. FleetRun
-	// validates feasibility: TotalW must cover MinW for every board.
+	// Budget is the shared fleet power budget and per-board bounds.
+	// fleet.NewTree validates feasibility: TotalW must cover MinW for every
+	// board.
 	Budget fleet.Budget
-	// Policy divides the budget across boards at reallocation points. It is
-	// invoked from the coordination goroutine only, so stateful policies
-	// need no locking. Required for flat runs (Topology nil); ignored for
-	// hierarchical runs, which use TreePolicy.
-	Policy fleet.Policy
-	// Topology, when non-nil, runs the fleet hierarchically: a tree of
-	// coordinators each re-dividing its incoming budget over its children
-	// (leaves over their boards) with its own policy instance, higher
-	// levels on slower cadences. Topology.Boards must equal the member
-	// count. A one-level topology is proven byte-identical to the flat
-	// path (results, fault streams, fleet and board traces).
+	// Topology is the coordinator tree: each coordinator re-divides its
+	// incoming budget over its children (leaves over their boards) with its
+	// own policy instance, higher levels on slower cadences.
+	// Topology.Boards must equal the member count. Nil runs the one-level
+	// tree fleet.Uniform(n, 1): a single coordinator dividing the whole
+	// budget over all boards.
 	Topology *fleet.Topology
-	// TreePolicy constructs one budget policy per tree node. Required when
-	// Topology is set (stateful policies must not be shared across nodes).
+	// TreePolicy constructs one budget policy per tree node (stateful
+	// policies must not be shared across nodes). Required. Policies run on
+	// the coordination goroutine only, so they need no locking.
 	TreePolicy func() fleet.Policy
 	// CadenceFactor is the per-level reallocation slowdown for hierarchical
 	// runs: a node at height h reallocates every ReallocEvery ×
@@ -66,10 +63,10 @@ type FleetOptions struct {
 	// to the solo run of the same (scheme, app) for common-random-numbers
 	// pairing, and every other board draws an independent stream.
 	Faults fault.Plan
-	// Parallelism is the worker count for per-interval board stepping (the
-	// PR-1 pool, fanned out inside each lockstep interval). 0 or 1 steps
-	// boards sequentially. Results and traces are byte-identical at any
-	// setting.
+	// Parallelism is the worker count for board stepping (the worker pool,
+	// fanned out over each epoch's board batches, or over each interval's
+	// boards on the lockstep engine). 0 or 1 steps boards sequentially.
+	// Results and traces are byte-identical at any setting.
 	Parallelism int
 	// Trace, when non-nil, receives one obs.FleetRecord per control
 	// interval from the coordination layer.
@@ -125,19 +122,21 @@ type FleetResult struct {
 	// cross-board analogue of the sweeps' geometric-mean degradation).
 	GeoExD float64
 
-	// Reallocations counts reallocation instants (coordinator invocations);
-	// Steps counts lockstep control intervals executed.
+	// Reallocations counts reallocation instants (intervals at which any
+	// coordinator fired); Steps counts control intervals on the shared
+	// clock.
 	Reallocations int
 	Steps         int
 
-	// Topology is the coordinator tree spec of a hierarchical run ("" for
-	// flat); Nodes and Depth its coordinator count and level count.
+	// Topology is the coordinator tree's spec ("uniform:<n>d1" for a run
+	// without FleetOptions.Topology); Nodes and Depth its coordinator count
+	// and level count.
 	Topology string
 	Nodes    int
 	Depth    int
 	// NodeReallocations counts per-node policy invocations across the tree
-	// (0 for flat runs). Higher levels fire less often, so it grows slower
-	// than Reallocations × Nodes.
+	// (Reallocations on a one-level tree). Higher levels fire less often,
+	// so it grows slower than Reallocations × Nodes.
 	NodeReallocations int
 }
 
@@ -145,36 +144,23 @@ type FleetResult struct {
 // only their own board during an interval (or an event batch), so the
 // struct needs no locking.
 type fleetBoard struct {
+	boardRun
 	idx  int
-	b    *board.Board
-	sess Session
-	w    workload.Workload
-	inj  *fault.Injector
-
-	sens board.Sensors
 	done bool
 	// capZeroed records that the coordinator has already actuated the
 	// board's post-completion zero cap, so later reallocations skip the
 	// write instead of rewriting every finished board every period.
 	capZeroed bool
 
-	// Per-board observation state (mirrors the solo runner's).
-	hp         healthProbe
-	fp         flightProber
-	prevFaults fault.Stats
-	lat        *obs.Histogram
-	trace      *obs.Recorder
-
-	// Event-engine batch state: the epoch the board last woke in, how many
-	// intervals it executed before finishing or hitting the barrier, and —
-	// when a fleet trace is attached — the per-interval samples the
+	// Event-engine batch state: how many intervals the board executed
+	// before finishing or hitting the barrier, the epoch it last woke in,
+	// and — when a fleet trace is attached — the per-interval samples the
 	// coordinator folds into FleetRecords at the flush (the board runs an
 	// epoch ahead of the fleet trace, so the per-interval view must be
 	// latched, not re-read from live board state).
-	epochStart int
-	batchLen   int
-	wokeEpoch  int
-	samples    []fleetSample
+	batchLen  int
+	wokeEpoch int
+	samples   []fleetSample
 }
 
 // fleetSample is one live board-interval's contribution to the fleet trace,
@@ -185,41 +171,30 @@ type fleetSample struct {
 	budgetThrottled bool
 }
 
-// FleetRun simulates len(members) boards advancing in lockstep under the
-// shared power budget: every ReallocEvery intervals the policy re-divides
-// the budget and each board's cap is actuated via board.SetPowerCapW; every
-// interval the boards step concurrently on the worker pool, each running its
-// own scheme unchanged. The run ends when every workload completes or
-// MaxTime elapses.
+// FleetRun simulates len(members) boards under the shared power budget: at
+// each reallocation point the due tree coordinators re-divide the budget and
+// each board's cap is actuated via board.SetPowerCapW; between them the
+// boards step concurrently on the worker pool, each running its own scheme
+// unchanged. The run ends when every workload completes or MaxTime elapses.
 //
 // Determinism contract: results, per-board traces and the fleet trace are
 // byte-identical at any Parallelism — boards own disjoint state, workers
-// write only their own index, and the policy runs on the coordination
-// goroutine between interval barriers.
+// write only their own index, and the policies run on the coordination
+// goroutine between stepping barriers.
 func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*FleetResult, error) {
 	n := len(members)
 	if n == 0 {
 		return nil, fmt.Errorf("core: fleet run needs at least one member")
 	}
-	if opt.Topology == nil && opt.Policy == nil {
-		return nil, fmt.Errorf("core: fleet run needs a budget policy")
-	}
-	if opt.Topology != nil {
-		if opt.TreePolicy == nil {
-			return nil, fmt.Errorf("core: hierarchical fleet run needs a TreePolicy factory")
+	if opt.Topology == nil {
+		topo, err := fleet.Uniform(n, 1)
+		if err != nil {
+			return nil, err
 		}
-		if opt.Topology.Boards != n {
-			return nil, fmt.Errorf("core: topology %q covers %d boards for %d members",
-				opt.Topology.Spec, opt.Topology.Boards, n)
-		}
-	}
-	bud := opt.Budget
-	if bud.TotalW <= 0 || bud.MinW <= 0 || bud.MaxW < bud.MinW {
-		return nil, fmt.Errorf("core: invalid fleet budget %+v", bud)
-	}
-	if bud.TotalW < bud.MinW*float64(n) {
-		return nil, fmt.Errorf("core: fleet budget %.1f W cannot cover the %.1f W floor for %d boards",
-			bud.TotalW, bud.MinW, n)
+		opt.Topology = topo
+	} else if opt.Topology.Boards != n {
+		return nil, fmt.Errorf("core: topology %q covers %d boards for %d members",
+			opt.Topology.Spec, opt.Topology.Boards, n)
 	}
 	if opt.ReallocEvery <= 0 {
 		opt.ReallocEvery = 10
@@ -233,74 +208,50 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 	if opt.BoardTraces != nil && len(opt.BoardTraces) != n {
 		return nil, fmt.Errorf("core: BoardTraces has %d entries for %d members", len(opt.BoardTraces), n)
 	}
-
 	eng, err := opt.Engine.resolve()
+	if err != nil {
+		return nil, err
+	}
+	tree, err := fleet.NewTree(opt.Topology, opt.Budget, opt.ReallocEvery, opt.CadenceFactor, opt.TreePolicy)
 	if err != nil {
 		return nil, err
 	}
 
 	f := &fleetRun{
-		cfg: cfg, opt: &opt, n: n,
+		cfg: cfg, opt: &opt, n: n, tree: tree,
 		boards:    make([]*fleetBoard, n),
 		caps:      make([]float64, n),
 		tel:       make([]fleet.Telemetry, n),
+		due:       make([]int, 0, len(tree.Nodes)),
 		workers:   opt.Parallelism,
 		maxSteps:  int(opt.MaxTime / opt.Interval),
 		intervalS: opt.Interval.Seconds(),
 		epochLen:  opt.ReallocEvery,
 		res: &FleetResult{
-			BudgetW: bud.TotalW,
-			Boards:  make([]FleetBoardResult, n),
+			Policy:   tree.PolicyName(),
+			BudgetW:  opt.Budget.TotalW,
+			Boards:   make([]FleetBoardResult, n),
+			Topology: opt.Topology.Spec,
+			Nodes:    len(tree.Nodes),
+			Depth:    opt.Topology.Depth,
 		},
-	}
-	if opt.Topology != nil {
-		tree, err := fleet.NewTree(opt.Topology, bud, opt.ReallocEvery, opt.CadenceFactor, opt.TreePolicy)
-		if err != nil {
-			return nil, err
-		}
-		f.tree = tree
-		f.due = make([]int, 0, len(tree.Nodes))
-		f.res.Policy = tree.PolicyName()
-		f.res.Topology = opt.Topology.Spec
-		f.res.Nodes = len(tree.Nodes)
-		f.res.Depth = opt.Topology.Depth
-	} else {
-		f.res.Policy = opt.Policy.Name()
 	}
 	f.live.Store(int64(n))
 	for i, m := range members {
-		sess, err := m.Scheme.New()
+		// Boards key their fault streams by (leaf path, leaf-local index):
+		// collision-free across racks, and in a one-level tree the key is
+		// fault.RunKey(scheme, app, i), so board 0 pairs with the solo run.
+		path, local := tree.BoardCoord(i)
+		runKey := fault.RunKeyPath(m.Scheme.faultKey(), m.Workload.Name(), path, local)
+		var trace *obs.Recorder
+		if opt.BoardTraces != nil {
+			trace = opt.BoardTraces[i]
+		}
+		br, err := newBoardRun(cfg, m.Scheme, m.Workload, runKey, opt.Faults, opt.Interval, trace, opt.Metrics)
 		if err != nil {
-			return nil, fmt.Errorf("core: building scheme %q for board %d: %w", m.Scheme.Name, i, err)
+			return nil, fmt.Errorf("core: fleet board %d: %w", i, err)
 		}
-		fb := &fleetBoard{idx: i, sess: sess, w: m.Workload}
-		if opt.Faults.Enabled() {
-			runKey := fault.RunKey(m.Scheme.faultKey(), m.Workload.Name(), i)
-			if f.tree != nil {
-				// Boards key their fault streams by (leaf path, leaf-local
-				// index): collision-free across racks, and reducing to the
-				// flat key — byte-identical streams — in a one-level tree.
-				path, local := f.tree.BoardCoord(i)
-				runKey = fault.RunKeyPath(m.Scheme.faultKey(), m.Workload.Name(), path, local)
-			}
-			fb.inj = opt.Faults.NewInjector(runKey)
-			fb.w = opt.Faults.Disturb(fb.w, runKey)
-		}
-		fb.w.Reset()
-		fb.b = board.New(cfg)
-		if fb.inj != nil {
-			fb.b.AttachSensorTap(fb.inj)
-			fb.b.AttachActuatorTap(fb.inj)
-		}
-		if opt.BoardTraces != nil && opt.BoardTraces[i] != nil {
-			fb.trace = opt.BoardTraces[i]
-			fb.hp, _ = sess.(healthProbe)
-			fb.fp, _ = sess.(flightProber)
-		}
-		if opt.Metrics != nil {
-			fb.lat = opt.Metrics.Histogram("step_latency_us/"+m.Scheme.Name, obs.LatencyBucketsUS())
-		}
-		f.boards[i] = fb
+		f.boards[i] = &fleetBoard{boardRun: br, idx: i}
 	}
 
 	if eng == EngineLockstep {
@@ -325,8 +276,8 @@ type fleetRun struct {
 	tel    []fleet.Telemetry
 	res    *FleetResult
 
-	// tree is the coordinator hierarchy of a hierarchical run (nil for
-	// flat); due is its reusable due-node scratch buffer.
+	// tree is the coordinator hierarchy; due is its reusable due-node
+	// scratch buffer.
 	tree *fleet.Tree
 	due  []int
 
@@ -352,7 +303,11 @@ func (f *fleetRun) runLockstep() error {
 			if fb.done {
 				return nil
 			}
-			f.stepBoard(fb, step)
+			fb.step(step)
+			if fb.w.Done() {
+				fb.done = true
+				f.live.Add(-1)
+			}
 			return nil
 		})
 		if err != nil {
@@ -366,19 +321,11 @@ func (f *fleetRun) runLockstep() error {
 	return nil
 }
 
-// reallocAt fires whatever coordination is due at the given step — the flat
-// policy every epoch, or the due tree nodes on their own cadences — and
-// reports whether any reallocation happened. Every leaf coordinator runs on
-// the epoch cadence, so tree reallocation instants coincide with the flat
-// ones; only the set of higher nodes firing varies.
+// reallocAt fires the tree nodes due at the given step on their own
+// cadences and reports whether any fired. Every leaf coordinator runs on the
+// epoch cadence, so reallocation instants fall every epochLen steps; only the
+// set of higher nodes firing varies.
 func (f *fleetRun) reallocAt(step int) bool {
-	if f.tree == nil {
-		if step%f.epochLen != 0 {
-			return false
-		}
-		f.realloc()
-		return true
-	}
 	f.due = f.tree.Due(step, f.due[:0])
 	if len(f.due) == 0 {
 		return false
@@ -387,9 +334,13 @@ func (f *fleetRun) reallocAt(step int) bool {
 	return true
 }
 
-// reallocTree is the hierarchical counterpart of realloc: refresh the
-// per-board telemetry, let the due tree nodes (already in f.due, preorder)
-// re-divide their budgets top-down, then actuate the resulting caps.
+// reallocTree refreshes the per-board telemetry, lets the due tree nodes
+// (already in f.due, preorder) re-divide their budgets top-down, then
+// actuates the resulting caps. It runs on the coordination goroutine only,
+// between barriers, in both engines, so the policies never race board
+// stepping. caps[i] is read for telemetry before the policies run and a
+// finished board's cap is zeroed only after (actuate), so the first
+// reallocation after a board finishes observes its final cap.
 func (f *fleetRun) reallocTree() {
 	for i, fb := range f.boards {
 		f.tel[i] = fleetTelemetry(fb, f.caps[i], f.cfg.BasePowerW)
@@ -400,42 +351,17 @@ func (f *fleetRun) reallocTree() {
 	f.res.NodeReallocations += len(f.due)
 }
 
-// traceStep writes the interval's fleet-trace records: the single flat
-// record, or — hierarchically — one record per tree node in preorder, the
-// root first. The root record spans all boards with the full budget and an
-// empty node path, so a one-level tree's trace is byte-identical to the
-// flat one.
+// traceStep writes the interval's fleet-trace records: one per tree node in
+// preorder, the root first. The root record spans all boards with the full
+// budget and an empty node path.
 func (f *fleetRun) traceStep(step int, realloc bool) {
 	timeS := float64(step+1) * f.intervalS
-	if f.tree == nil {
-		f.opt.Trace.Add(fleetRecordRange(step, timeS, f.opt.Budget.TotalW,
-			f.caps, f.boards, 0, f.n, realloc, f.cfg.BasePowerW, ""))
-		return
-	}
 	for i := range f.tree.Nodes {
 		nd := &f.tree.Nodes[i]
 		f.opt.Trace.Add(fleetRecordRange(step, timeS, nd.BudgetW,
 			f.caps, f.boards, nd.First, nd.Boards,
 			realloc && f.tree.NodeRealloc(i, step), f.cfg.BasePowerW, nd.Path))
 	}
-}
-
-// realloc runs the budget policy and actuates the resulting caps. It is
-// invoked from the coordination goroutine only, between barriers, in both
-// engines — the policy never races board stepping. A finished board's cap
-// is zeroed exactly once (capZeroed); afterwards the board is skipped
-// instead of being rewritten every period. The policy still sees the same
-// telemetry it always did: caps[i] is read for telemetry before Allocate
-// runs and zeroed only after, so the first post-completion reallocation
-// observes the board's final pre-completion cap, exactly as the lockstep
-// engine always has.
-func (f *fleetRun) realloc() {
-	for i, fb := range f.boards {
-		f.tel[i] = fleetTelemetry(fb, f.caps[i], f.cfg.BasePowerW)
-	}
-	f.opt.Policy.Allocate(f.caps, f.opt.Budget, f.tel)
-	f.actuate()
-	f.res.Reallocations++
 }
 
 // actuate writes the freshly allocated caps to the boards. A finished
@@ -452,47 +378,6 @@ func (f *fleetRun) actuate() {
 			continue
 		}
 		fb.b.SetPowerCapW(f.caps[i])
-	}
-}
-
-// stepBoard executes one control interval on one board: advance the fault
-// injector, run the physics, invoke the board's scheme, feed the
-// observation taps, and latch the fleet-trace sample when the event engine
-// is buffering an epoch. It is the single definition of "one board
-// interval" for both engines, so the fault RNG streams and every recorded
-// value are consumed identically.
-func (f *fleetRun) stepBoard(fb *fleetBoard, step int) {
-	if fb.inj != nil {
-		fb.inj.Advance(fb.b)
-	}
-	fb.sens = fb.b.Run(fb.w, f.opt.Interval)
-	var t0 time.Time
-	observe := fb.lat != nil || fb.trace != nil
-	if observe {
-		t0 = time.Now()
-	}
-	fb.sess.Step(fb.sens, fb.b, fb.w.Profile().Threads)
-	if observe {
-		latNS := time.Since(t0).Nanoseconds()
-		if fb.lat != nil {
-			fb.lat.Observe(float64(latNS) / 1e3)
-		}
-		if fb.trace != nil {
-			recordInterval(fb.trace, step, fb.sens, fb.b,
-				fb.inj, &fb.prevFaults, fb.hp, fb.fp, latNS)
-		}
-	}
-	if fb.w.Done() {
-		fb.done = true
-		f.live.Add(-1)
-	}
-	if fb.samples != nil {
-		fb.samples[step-fb.epochStart] = fleetSample{
-			bigW:            fb.sens.BigPowerW,
-			littleW:         fb.sens.LittlePowerW,
-			bips:            fb.sens.BIPS,
-			budgetThrottled: fb.b.BudgetThrottled(),
-		}
 	}
 }
 

@@ -29,11 +29,22 @@ func fleetTestMembers(t *testing.T, p *Platform, n int, sch Scheme) []FleetMembe
 
 // fleetTestOptions is a short bounded run: 4 boards for 60 simulated seconds
 // is enough for several reallocation periods and fault activity.
-func fleetTestOptions(policy fleet.Policy) FleetOptions {
+func fleetTestOptions(policyName string) FleetOptions {
 	return FleetOptions{
-		Budget:  fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
-		Policy:  policy,
-		MaxTime: 60 * time.Second,
+		Budget:     fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
+		TreePolicy: testTreePolicy(policyName),
+		MaxTime:    60 * time.Second,
+	}
+}
+
+// testTreePolicy returns a factory of fresh instances of the named policy.
+func testTreePolicy(name string) func() fleet.Policy {
+	return func() fleet.Policy {
+		pol, err := fleet.NewPolicy(name)
+		if err != nil {
+			panic(err)
+		}
+		return pol
 	}
 }
 
@@ -52,11 +63,7 @@ func TestFleetConservation(t *testing.T) {
 	for _, sch := range schemes {
 		for _, polName := range []string{"equal", "feedback"} {
 			for _, class := range classes {
-				pol, err := fleet.NewPolicy(polName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := fleetTestOptions(pol)
+				opt := fleetTestOptions(polName)
 				if class != "clean" {
 					opt.Faults = fault.PresetClass(3, 1.0, class)
 				}
@@ -98,11 +105,7 @@ func fleetTraces(t *testing.T, p *Platform, parallelism int) []byte {
 	t.Helper()
 	sch := p.YuktaFullSSV(DefaultHWParams(), DefaultOSParams())
 	members := fleetTestMembers(t, p, 8, sch)
-	pol, err := fleet.NewPolicy("feedback")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := fleetTestOptions(pol)
+	opt := fleetTestOptions("feedback")
 	opt.Budget.TotalW = 17.6
 	opt.Faults = fault.Preset(5, 1.0)
 	opt.Parallelism = parallelism
@@ -167,26 +170,55 @@ func TestFleetBoardZeroPairsWithSolo(t *testing.T) {
 	}
 }
 
-// TestFleetRunValidation exercises the entry-point guards.
+// TestFleetRunValidation exercises the entry-point guards, and checks that a
+// run without a topology reports the one-level tree it ran.
 func TestFleetRunValidation(t *testing.T) {
 	p := testPlatform(t)
 	sch := p.CoordinatedHeuristic()
 	members := fleetTestMembers(t, p, 4, sch)
-	if _, err := FleetRun(p.Cfg, nil, fleetTestOptions(fleet.EqualShare{})); err == nil {
+	if _, err := FleetRun(p.Cfg, nil, fleetTestOptions("equal")); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
-	opt := fleetTestOptions(nil)
+	opt := fleetTestOptions("equal")
+	opt.TreePolicy = nil
 	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	opt = fleetTestOptions(fleet.EqualShare{})
+	opt = fleetTestOptions("equal")
 	opt.Budget.TotalW = 2 // cannot cover 4 × 1 W floors
 	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
 		t.Fatal("infeasible budget accepted")
 	}
-	opt = fleetTestOptions(fleet.EqualShare{})
+	for _, bud := range []fleet.Budget{
+		{TotalW: 0, MinW: 1, MaxW: 4.5},
+		{TotalW: 8.8, MinW: 0, MaxW: 4.5},
+		{TotalW: 8.8, MinW: 2, MaxW: 1},
+	} {
+		opt = fleetTestOptions("equal")
+		opt.Budget = bud
+		if _, err := FleetRun(p.Cfg, members, opt); err == nil {
+			t.Fatalf("invalid budget %+v accepted", bud)
+		}
+	}
+	opt = fleetTestOptions("equal")
 	opt.BoardTraces = make([]*obs.Recorder, 2)
 	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
 		t.Fatal("mis-sized BoardTraces accepted")
+	}
+	opt = fleetTestOptions("equal")
+	opt.Topology, _ = fleet.ParseTopology("2x2")
+	if _, err := FleetRun(p.Cfg, members[:3], opt); err == nil {
+		t.Fatal("topology covering 4 boards accepted for 3 members")
+	}
+
+	opt = fleetTestOptions("equal")
+	opt.MaxTime = 10 * time.Second
+	res, err := FleetRun(p.Cfg, members, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 1 || res.Depth != 1 || res.NodeReallocations != res.Reallocations || res.Reallocations == 0 {
+		t.Fatalf("topology-less run: nodes %d, depth %d, node reallocations %d, reallocations %d; want the one-level tree",
+			res.Nodes, res.Depth, res.NodeReallocations, res.Reallocations)
 	}
 }

@@ -94,16 +94,18 @@ func TestNewPlatformReportsFirstSequentialError(t *testing.T) {
 // explicit float64(x*y) conversion forbids it. The arithmetic of a listed
 // package then rounds alike on every architecture; calls into unlisted
 // packages still may not.
-var fmaCheckedPackages = []string{"./internal/lti", "./internal/sysid"}
+var fmaCheckedPackages = []string{"./internal/lti", "./internal/sysid", "./internal/core", "./internal/fleet", "./internal/obs"}
 
 // fusedOp matches one fused multiply-add in the compiler's assembly listing
 // and captures its file:line.
 var fusedOp = regexp.MustCompile(`\(([^()]+:\d+)\)\s+(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
 
-// TestIdentificationHasNoFusedMultiplyAdd cross-compiles the identification
-// packages for arm64 with the assembly listing on and fails on any fused
-// multiply-add, naming each site. Functions from other packages inlined into
-// a checked one (mat.Matrix.FrobeniusNorm into lti) are checked with it.
+// TestIdentificationHasNoFusedMultiplyAdd cross-compiles fmaCheckedPackages
+// (identification, the controller schemes, the fleet coordinators and the
+// metrics registry) for arm64 with the assembly listing on and fails on any
+// fused multiply-add, naming each site. Functions from other packages
+// inlined into a checked one (mat.Matrix.FrobeniusNorm into lti) are checked
+// with it.
 func TestIdentificationHasNoFusedMultiplyAdd(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"yukta/internal/board"
@@ -68,9 +67,9 @@ type RunOptions struct {
 	// figures) set it so thousands of runs do not each retain a full
 	// time-series trace they never read.
 	SkipSeries bool
-	// Engine selects the simulation core ("" = EngineEvent). Both engines
-	// produce byte-identical results and traces; EngineLockstep is the
-	// reference implementation kept for differential testing.
+	// Engine names the simulation core ("" = EngineEvent). It is validated
+	// for parity with FleetOptions.Engine, but a solo run has one board and
+	// runs the same single loop under either name.
 	Engine Engine
 	// Trace, when non-nil, receives one obs.Record per control interval:
 	// the sensor vector the controller saw, the commanded vs applied
@@ -89,55 +88,40 @@ type RunOptions struct {
 // Run executes the workload to completion (or MaxTime) under the scheme on a
 // fresh board and returns the measured result.
 func Run(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*RunResult, error) {
-	r, eng, err := newSoloRun(cfg, sch, w, opt)
+	r, err := newSoloRun(cfg, sch, w, opt)
 	if err != nil {
 		return nil, err
 	}
-	if eng == EngineLockstep {
-		r.runLockstep()
-	} else {
-		r.runEvent()
+	for i := 0; i < r.maxSteps && !r.w.Done(); i++ {
+		r.advance(i)
 	}
 	res := r.finalize()
 	r.countOnce()
 	return res, nil
 }
 
-// newSoloRun performs the shared run setup — scheme instantiation, fault
-// stream derivation, board construction, observation taps, engine
-// resolution — for both the batch Run path and the incrementally driven
-// StepRun path. The two paths execute the identical soloRun.step interval
-// body afterwards, which is what makes a hosted session's trace
-// byte-identical to the batch run of the same options.
-func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*soloRun, Engine, error) {
+// newSoloRun performs the shared run setup — option defaults, engine
+// validation, the board (newBoardRun, keyed by scheme and app), the result
+// series — for both the batch Run path and the incrementally driven StepRun
+// path. The two paths execute the identical soloRun.advance interval
+// afterwards, which is what makes a hosted session's trace byte-identical to
+// the batch run of the same options.
+func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*soloRun, error) {
 	if opt.MaxTime <= 0 {
 		opt.MaxTime = 1200 * time.Second
 	}
 	if opt.Interval <= 0 {
 		opt.Interval = 500 * time.Millisecond
 	}
-	eng, err := opt.Engine.resolve()
+	if _, err := opt.Engine.resolve(); err != nil {
+		return nil, err
+	}
+	br, err := newBoardRun(cfg, sch, w, fault.RunKey(sch.faultKey(), w.Name()),
+		opt.Faults, opt.Interval, opt.Trace, opt.Metrics)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	sess, err := sch.New()
-	if err != nil {
-		return nil, "", fmt.Errorf("core: building scheme %q: %w", sch.Name, err)
-	}
-	var inj *fault.Injector
-	if opt.Faults.Enabled() {
-		runKey := fault.RunKey(sch.faultKey(), w.Name())
-		inj = opt.Faults.NewInjector(runKey)
-		w = opt.Faults.Disturb(w, runKey)
-	}
-	w.Reset()
-	b := board.New(cfg)
-	if inj != nil {
-		b.AttachSensorTap(inj)
-		b.AttachActuatorTap(inj)
-	}
-
-	res := &RunResult{App: w.Name(), Scheme: sch.Name}
+	res := &RunResult{App: br.w.Name(), Scheme: sch.Name}
 	if !opt.SkipSeries {
 		res.BigPower = series.New("big_power_w")
 		res.LittlePower = series.New("little_power_w")
@@ -145,26 +129,7 @@ func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOption
 		res.Temp = series.New("temp_c")
 		res.BigFreq = series.New("big_freq_ghz")
 	}
-	// Observation taps. Everything below is nil-guarded so a run without
-	// Trace/Metrics takes no time.Now calls and no extra allocations in the
-	// control loop.
-	observe := opt.Trace != nil || opt.Metrics != nil
-	var lat *obs.Histogram
-	if opt.Metrics != nil {
-		lat = opt.Metrics.Histogram("step_latency_us/"+sch.Name, obs.LatencyBucketsUS())
-	}
-	var hp healthProbe
-	var fp flightProber
-	if opt.Trace != nil {
-		hp, _ = sess.(healthProbe)
-		fp, _ = sess.(flightProber)
-	}
-	r := &soloRun{
-		w: w, b: b, sess: sess, inj: inj, opt: &opt, res: res,
-		observe: observe, lat: lat, hp: hp, fp: fp,
-		maxSteps: int(opt.MaxTime / opt.Interval),
-	}
-	return r, eng, nil
+	return &soloRun{boardRun: br, opt: &opt, res: res, maxSteps: int(opt.MaxTime / opt.Interval)}, nil
 }
 
 // finalize distills the run's current state into its RunResult. It is the
@@ -177,7 +142,7 @@ func (r *soloRun) finalize() *RunResult {
 	res.TimeS = b.TimeS()
 	res.EnergyJ = b.EnergyJ()
 	res.ExD = res.EnergyJ * res.TimeS
-	res.EmergencyEvents = r.sensors.EmergencyEvents
+	res.EmergencyEvents = r.sens.EmergencyEvents
 	res.IntervalS = r.opt.Interval.Seconds()
 	if r.inj != nil {
 		res.Faults = r.inj.Stats()

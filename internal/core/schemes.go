@@ -236,7 +236,7 @@ func (h *hwSSVSession) Step(s board.Sensors, b *board.Board, threads int) {
 	if h.perfEMA == 0 {
 		h.perfEMA = s.BIPS
 	}
-	h.perfEMA = 0.7*h.perfEMA + 0.3*s.BIPS
+	h.perfEMA = float64(0.7*h.perfEMA) + float64(0.3*s.BIPS)
 	perfT := tg[0]
 	if cap := h.perfEMA + 3.0; perfT > cap {
 		perfT = cap
@@ -374,8 +374,8 @@ func (o *osSSVSession) Step(s board.Sensors, b *board.Board, threads int) {
 		o.emaL, o.emaB = s.BIPSLittle, s.BIPSBig
 		o.inited = true
 	}
-	o.emaL = 0.7*o.emaL + 0.3*s.BIPSLittle
-	o.emaB = 0.7*o.emaB + 0.3*s.BIPSBig
+	o.emaL = float64(0.7*o.emaL) + float64(0.3*s.BIPSLittle)
+	o.emaB = float64(0.7*o.emaB) + float64(0.3*s.BIPSBig)
 	if cap := o.emaL + 1.0; tg[0] > cap {
 		tg[0] = cap
 	}

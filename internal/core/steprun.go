@@ -15,8 +15,8 @@ import (
 // request.
 //
 // Determinism survives hosting: a StepRun advanced in arbitrary chunk sizes
-// executes exactly the soloRun.step interval sequence the batch engines
-// execute, so its RunResult scalars and attached obs.Recorder trace are
+// executes exactly the soloRun.advance interval sequence the batch Run
+// executes, so its RunResult scalars and attached obs.Recorder trace are
 // byte-identical to Run with the same options (gated by
 // TestStepRunMatchesBatch and the serve package's determinism test).
 //
@@ -30,12 +30,10 @@ type StepRun struct {
 }
 
 // NewStepRun builds an incrementally driven run from the same inputs as Run.
-// The Engine option is validated for parity with the batch path but does not
-// change scheduling here: a hosted session has exactly one board, for which
-// both engines degenerate to the same per-interval sequence (see
-// soloRun.runEvent).
+// The Engine option is validated for parity with the batch path; like Run,
+// a StepRun has one board and one loop whichever engine is named.
 func NewStepRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*StepRun, error) {
-	r, _, err := newSoloRun(cfg, sch, w, opt)
+	r, err := newSoloRun(cfg, sch, w, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +47,7 @@ func NewStepRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOption
 func (s *StepRun) Step(n int) int {
 	done := 0
 	for ; done < n && s.next < s.r.maxSteps && !s.r.w.Done(); done++ {
-		s.r.step(s.next)
+		s.r.advance(s.next)
 		s.next++
 		if s.hook != nil {
 			s.hook(s.next - 1)
@@ -83,7 +81,7 @@ func (s *StepRun) ReplayTo(n int) error {
 		if s.Done() {
 			return fmt.Errorf("core: replay diverged: run finished at step %d before reaching logged step %d", s.next, n)
 		}
-		s.r.step(s.next)
+		s.r.advance(s.next)
 		s.next++
 	}
 	return nil

@@ -240,7 +240,7 @@ func (v *supervisedSession) bumplessTransfer(b *board.Board, cfg supervisor.Conf
 	bcfg := b.Config()
 	derate := float64(cfg.FallbackDerateSteps)
 	ceil := func(eff, step, min float64) float64 {
-		return math.Max(eff-derate*step, min)
+		return math.Max(eff-float64(derate*step), min)
 	}
 	v.fbHW.SeedCeiling(
 		ceil(b.EffectiveBigFreq(), bcfg.Big.FreqStepGHz, bcfg.Big.FreqMinGHz),

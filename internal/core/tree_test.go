@@ -2,104 +2,12 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 	"time"
 
-	"yukta/internal/fault"
 	"yukta/internal/fleet"
 	"yukta/internal/obs"
 )
-
-// treeFleetFingerprint executes one hierarchical fleet run and returns the
-// same observable output fleetFingerprint captures for flat runs: the fleet
-// JSONL trace, every per-board JSONL trace, and the shared result scalars.
-func treeFleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string,
-	n int, topo *fleet.Topology, eng Engine) []byte {
-	t.Helper()
-	members := fleetTestMembers(t, p, n, sch)
-	opt := FleetOptions{
-		Budget:   fleet.Budget{TotalW: 2.2 * float64(n), MinW: 1.0, MaxW: 4.5},
-		Topology: topo,
-		TreePolicy: func() fleet.Policy {
-			pol, err := fleet.NewPolicy("feedback")
-			if err != nil {
-				panic(err)
-			}
-			return pol
-		},
-		MaxTime:     30 * time.Second,
-		Parallelism: 4,
-		Engine:      eng,
-	}
-	if class != "clean" {
-		opt.Faults = fault.PresetClass(7, 1.0, class)
-	}
-	opt.Trace = obs.NewFleetRecorder(0)
-	boardRecs := make([]*obs.Recorder, n)
-	for i := range boardRecs {
-		boardRecs[i] = obs.NewRecorder(0)
-	}
-	opt.BoardTraces = boardRecs
-	res, err := FleetRun(p.Cfg, members, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Topology != topo.Spec || res.Nodes != len(topo.Nodes) || res.Depth != topo.Depth {
-		t.Fatalf("tree result metadata %q/%d/%d, want %q/%d/%d",
-			res.Topology, res.Nodes, res.Depth, topo.Spec, len(topo.Nodes), topo.Depth)
-	}
-	if res.NodeReallocations < res.Reallocations {
-		t.Fatalf("node reallocations %d < realloc instants %d", res.NodeReallocations, res.Reallocations)
-	}
-	return fingerprintFleetOutput(t, opt.Trace, boardRecs, res)
-}
-
-// TestFlatTreeMatchesLegacyFleet is the degenerate-tree equivalence gate: a
-// one-level topology must reproduce the flat FleetRun byte-identically —
-// every fleet trace record, every per-board trace record, every shared
-// result scalar, every fault stream — for every scheme × fault class ×
-// N∈{1,4,16}.
-func TestFlatTreeMatchesLegacyFleet(t *testing.T) {
-	p := testPlatform(t)
-	fleetNs := []int{1, 4, 16}
-	for _, sch := range equivSchemes(p) {
-		for ci, class := range equivClasses() {
-			t.Run(sch.Name+"/"+class, func(t *testing.T) {
-				t.Parallel()
-				ns := fleetNs
-				if testing.Short() {
-					// Rotate one fleet size per cell in -short mode, like
-					// TestEngineEquivalence; the full matrix still covers
-					// every N per scheme.
-					ns = fleetNs[ci%3 : ci%3+1]
-				}
-				for _, n := range ns {
-					topo, err := fleet.ParseTopology(strconv.Itoa(n))
-					if err != nil {
-						t.Fatal(err)
-					}
-					flat := fleetFingerprint(t, p, sch, class, n, EngineEvent)
-					tree := treeFleetFingerprint(t, p, sch, class, n, topo, EngineEvent)
-					if len(flat) == 0 {
-						t.Fatalf("empty fingerprint at N=%d", n)
-					}
-					diffFingerprints(t, fmt.Sprintf("flat-vs-tree N=%d", n), flat, tree)
-				}
-			})
-		}
-	}
-	// Spot-check the lockstep engine on one cell: the degenerate tree must
-	// be flat-identical on the reference engine too.
-	sch := equivSchemes(p)[0]
-	topo, err := fleet.ParseTopology("4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := fleetFingerprint(t, p, sch, "all", 4, EngineLockstep)
-	tree := treeFleetFingerprint(t, p, sch, "all", 4, topo, EngineLockstep)
-	diffFingerprints(t, "flat-vs-tree lockstep", flat, tree)
-}
 
 // TestTreeEngineEquivalence extends the cross-engine gate to hierarchical
 // runs: for depth-2 and depth-3 (ragged) topologies, the lockstep and event
@@ -121,8 +29,8 @@ func TestTreeEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lock := treeFleetFingerprint(t, p, sch, class, topo.Boards, topo, EngineLockstep)
-				ev := treeFleetFingerprint(t, p, sch, class, topo.Boards, topo, EngineEvent)
+				lock := fleetFingerprint(t, p, sch, class, topo.Boards, topo, EngineLockstep)
+				ev := fleetFingerprint(t, p, sch, class, topo.Boards, topo, EngineEvent)
 				if len(lock) == 0 {
 					t.Fatal("empty tree fingerprint")
 				}
@@ -147,12 +55,9 @@ func TestHierarchicalFleetTrace(t *testing.T) {
 	members := fleetTestMembers(t, p, 4, sch)
 	rec := obs.NewFleetRecorder(0)
 	opt := FleetOptions{
-		Budget:   fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
-		Topology: topo,
-		TreePolicy: func() fleet.Policy {
-			pol, _ := fleet.NewPolicy("feedback")
-			return pol
-		},
+		Budget:       fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
+		Topology:     topo,
+		TreePolicy:   testTreePolicy("feedback"),
 		ReallocEvery: 10,
 		MaxTime:      30 * time.Second,
 		Trace:        rec,

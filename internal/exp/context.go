@@ -50,7 +50,7 @@ type Context struct {
 	FleetBudgetW float64
 
 	// FleetTopo is the coordinator topology spec applied to every fleet
-	// sweep cell, or "" for the flat path; see Options.FleetTopo.
+	// sweep cell, or "" for the one-level tree; see Options.FleetTopo.
 	FleetTopo string
 
 	// Engine is the simulation core threaded into every run; see

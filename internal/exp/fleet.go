@@ -54,7 +54,8 @@ type FleetCell struct {
 	Reallocations int
 	Incomplete    int
 	// NodeReallocations counts per-node policy invocations across the
-	// coordinator tree of a hierarchical run (0 for flat runs).
+	// coordinator tree (Reallocations when no FleetTopo is set: the run is
+	// then the one-level tree).
 	NodeReallocations int
 }
 
@@ -76,7 +77,7 @@ type FleetTable struct {
 	// Apps is the mix boards cycle through.
 	Apps []string
 	// Topo is the coordinator topology spec every cell ran under, or "" for
-	// the flat single-coordinator path.
+	// a single coordinator over all boards (the one-level tree).
 	Topo string
 	// Cells[ci][ni][pi] is the outcome for Classes[ci], Ns[ni], Policies[pi].
 	Cells [][][]FleetCell
@@ -160,16 +161,20 @@ func (c *Context) fleetMembers(n int, apps []string) ([]core.FleetMember, error)
 }
 
 // fleetOpts assembles one fleet run's options for the given size, policy and
-// fault class ("clean" = no faults). With a FleetTopo set on the context the
-// run is hierarchical: the topology is parsed per cell and every tree node
-// gets a fresh instance of the named policy.
+// fault class ("clean" = no faults). Every tree node gets a fresh instance of
+// the named policy. With a FleetTopo set on the context the topology is
+// parsed per cell; without one the run is the one-level tree.
 func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float64) (core.FleetOptions, error) {
+	if _, err := fleet.NewPolicy(policyName); err != nil {
+		return core.FleetOptions{}, err
+	}
 	opt := core.FleetOptions{
 		Budget: fleet.Budget{
 			TotalW: boardBudgetW * float64(n),
 			MinW:   DefaultFleetMinCapW,
 			MaxW:   DefaultFleetMaxCapW,
 		},
+		TreePolicy:  treePolicyFactory(policyName),
 		MaxTime:     1500 * time.Second,
 		Interval:    500 * time.Millisecond,
 		Parallelism: c.Parallelism,
@@ -185,17 +190,7 @@ func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float6
 			return core.FleetOptions{}, fmt.Errorf(
 				"exp: fleet topology %q covers %d boards, sweep size is %d", c.FleetTopo, topo.Boards, n)
 		}
-		if _, err := fleet.NewPolicy(policyName); err != nil {
-			return core.FleetOptions{}, err
-		}
 		opt.Topology = topo
-		opt.TreePolicy = treePolicyFactory(policyName)
-	} else {
-		pol, err := fleet.NewPolicy(policyName)
-		if err != nil {
-			return core.FleetOptions{}, err
-		}
-		opt.Policy = pol
 	}
 	if class != "clean" {
 		opt.Faults = fault.PresetClass(c.Seed, DefaultClassIntensity, class)
@@ -203,8 +198,7 @@ func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float6
 	return opt, nil
 }
 
-// treePolicyFactory returns the per-node policy constructor for hierarchical
-// runs. Callers validate the policy name before building the factory, so a
+// treePolicyFactory returns the per-node policy constructor of a fleet run. Callers validate the policy name before building the factory, so a
 // bad name surfaces as an error from option assembly instead of a panic
 // inside the tree.
 func treePolicyFactory(policyName string) func() fleet.Policy {

@@ -159,7 +159,7 @@ func TestGoldenFleetTrace(t *testing.T) {
 	}
 	opt := core.FleetOptions{
 		Budget:      fleet.Budget{TotalW: 8.8, MinW: 1.0, MaxW: 4.5},
-		Policy:      fleet.NewSlackFeedback(),
+		TreePolicy:  func() fleet.Policy { return fleet.NewSlackFeedback() },
 		MaxTime:     60 * time.Second,
 		Faults:      fault.Preset(1, 0.5),
 		Trace:       rec,

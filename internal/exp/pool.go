@@ -45,7 +45,8 @@ type Options struct {
 	// FleetTopo, when non-empty, runs every fleet sweep cell hierarchically
 	// under this coordinator topology (fleet.ParseTopology grammar, e.g.
 	// "4x8" or "root=a,b;a=4;b=4"). The topology's board count must equal
-	// the sweep's fleet size. Empty keeps the flat single-coordinator path.
+	// the sweep's fleet size. Empty runs a single coordinator over all
+	// boards (the one-level tree).
 	FleetTopo string
 
 	// Engine selects the simulation core for every run the harness launches

@@ -164,17 +164,13 @@ func (c *Context) fleetScaleRun(n int, eng core.Engine) (*core.FleetResult, erro
 	if err != nil {
 		return nil, err
 	}
-	pol, err := fleet.NewPolicy("feedback")
-	if err != nil {
-		return nil, err
-	}
 	opt := core.FleetOptions{
 		Budget: fleet.Budget{
 			TotalW: DefaultFleetBoardBudgetW * float64(n),
 			MinW:   DefaultFleetMinCapW,
 			MaxW:   DefaultFleetMaxCapW,
 		},
-		Policy:      pol,
+		TreePolicy:  treePolicyFactory("feedback"),
 		MaxTime:     scaleMaxTime,
 		Parallelism: c.scaleParallelism(),
 		Engine:      eng,

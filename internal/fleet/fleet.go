@@ -152,7 +152,7 @@ func conserve(dst []float64, b Budget, tel []Telemetry) {
 	// Shrink only the part above the per-entry floor; the floors themselves
 	// are assumed feasible (TotalW ≥ liveW*MinW — the runner validates this
 	// at the root, and the policy contract preserves it down the tree).
-	floor := liveW * b.MinW
+	floor := float64(liveW * b.MinW)
 	excess := total - floor
 	avail := b.TotalW - floor
 	if excess <= 0 || avail < 0 {
@@ -163,8 +163,8 @@ func conserve(dst []float64, b Budget, tel []Telemetry) {
 		if tel[i].Done {
 			continue
 		}
-		lo := weightOf(tel[i]) * b.MinW
-		dst[i] = lo + (dst[i]-lo)*scale
+		lo := float64(weightOf(tel[i]) * b.MinW)
+		dst[i] = lo + float64((dst[i]-lo)*scale)
 	}
 }
 
@@ -288,11 +288,11 @@ func (p *SlackFeedback) Allocate(dst []float64, b Budget, tel []Telemetry) {
 		case t.Done:
 			dst[i] = 0
 		case pressed(t):
-			dst[i] = w * b.MinW
+			dst[i] = float64(w * b.MinW)
 			nPressed++
 			pot -= dst[i]
 		default:
-			dst[i] = clampShareW(t.PowerW*donorMargin+w*donorReserveW, w, b)
+			dst[i] = clampShareW(float64(t.PowerW*donorMargin)+float64(w*donorReserveW), w, b)
 			pot -= dst[i]
 		}
 	}
@@ -322,7 +322,7 @@ func (p *SlackFeedback) Allocate(dst []float64, b Budget, tel []Telemetry) {
 				if slack[i] == 0 {
 					continue
 				}
-				hi := weightOf(tel[i]) * b.MaxW
+				hi := float64(weightOf(tel[i]) * b.MaxW)
 				want := dst[i] + share*slack[i]/totalSlack
 				if want >= hi {
 					pot += want - hi

@@ -51,12 +51,11 @@ type TreeNode struct {
 // stays in [MinW, MaxW].
 //
 // A one-level tree (Depth 1) is the degenerate case: its single node runs
-// the policy over all boards with the full budget — bit-identical to the
-// flat fleet path, which the golden suite pins.
+// the policy over all boards with the full budget. It is what the fleet
+// runner uses when no topology is given.
 //
 // Methods are not safe for concurrent use; the fleet runner calls them from
-// its coordination goroutine between stepping barriers, like the flat
-// policy.
+// its coordination goroutine between stepping barriers.
 type Tree struct {
 	// Topo is the validated shape the tree was built from.
 	Topo *Topology
@@ -283,11 +282,11 @@ func (t *Tree) CheckConservation(boardTel []Telemetry, caps []float64, eps float
 				}
 				continue
 			}
-			if n.BudgetW < n.AllocLiveW*t.budget.MinW-eps {
+			if n.BudgetW < float64(n.AllocLiveW*t.budget.MinW)-eps {
 				return fmt.Errorf("fleet: node %q budget %.9f W below weighted floor %.9f W",
 					nodeLabel(n), n.BudgetW, n.AllocLiveW*t.budget.MinW)
 			}
-			if n.BudgetW > n.AllocLiveW*t.budget.MaxW+eps {
+			if n.BudgetW > float64(n.AllocLiveW*t.budget.MaxW)+eps {
 				return fmt.Errorf("fleet: node %q budget %.9f W above weighted ceiling %.9f W",
 					nodeLabel(n), n.BudgetW, n.AllocLiveW*t.budget.MaxW)
 			}

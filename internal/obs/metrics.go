@@ -165,7 +165,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(n)
+	rank := float64(q * float64(n))
 	var cum int64
 	lower := 0.0
 	for i := range h.buckets {
@@ -179,7 +179,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			if frac < 0 {
 				frac = 0
 			}
-			return lower + frac*(upper-lower)
+			return lower + float64(frac*(upper-lower))
 		}
 		cum += cnt
 		if i < len(h.bounds) {

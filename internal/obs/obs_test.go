@@ -45,6 +45,11 @@ func TestRecorderAddDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Add allocates %.1f objects per call, want 0", allocs)
 	}
+	fr := NewFleetRecorder(16)
+	frec := FleetRecord{Step: 1, Node: "0/1"}
+	if allocs := testing.AllocsPerRun(100, func() { fr.Add(frec) }); allocs != 0 {
+		t.Fatalf("FleetRecorder.Add allocates %.1f objects per call, want 0", allocs)
+	}
 }
 
 func TestWriteJSONLValidatesAndIsDeterministic(t *testing.T) {

@@ -150,6 +150,53 @@ type Record struct {
 // fault.Stats are exact.
 const DefaultCapacity = 4096
 
+// ring is a fixed-capacity ring buffer, the storage of Recorder and
+// FleetRecorder. All memory is allocated up front; Add never allocates.
+type ring[T any] struct {
+	buf   []T
+	total int
+}
+
+// newRing returns a ring retaining the last capacity records
+// (DefaultCapacity when capacity <= 0).
+func newRing[T any](capacity int) ring[T] {
+	if capacity <= 0 {
+		capacity = DefaultCapacity
+	}
+	return ring[T]{buf: make([]T, capacity)}
+}
+
+// Add appends one interval's record, overwriting the oldest retained record
+// once the ring is full. It performs no allocation.
+func (r *ring[T]) Add(rec T) {
+	r.buf[r.total%len(r.buf)] = rec
+	r.total++
+}
+
+// Len returns the number of records currently retained.
+func (r *ring[T]) Len() int {
+	if r.total < len(r.buf) {
+		return r.total
+	}
+	return len(r.buf)
+}
+
+// Total returns the number of records ever added.
+func (r *ring[T]) Total() int { return r.total }
+
+// Dropped returns how many early records the ring has overwritten.
+func (r *ring[T]) Dropped() int {
+	if d := r.total - len(r.buf); d > 0 {
+		return d
+	}
+	return 0
+}
+
+// At returns the i-th oldest retained record (0 <= i < Len()).
+func (r *ring[T]) At(i int) T {
+	return r.buf[(r.total-r.Len()+i)%len(r.buf)]
+}
+
 // Recorder is a fixed-capacity ring buffer of Records. All memory is
 // allocated up front in NewRecorder; Add never allocates, so an attached
 // recorder adds only a struct copy per control interval to the hot loop.
@@ -163,46 +210,11 @@ type Recorder struct {
 	// registry's per-scheme histograms.
 	IncludeLatency bool
 
-	buf   []Record
-	total int
+	ring[Record]
 }
 
 // NewRecorder returns a recorder retaining the last capacity records
 // (DefaultCapacity when capacity <= 0).
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Recorder{buf: make([]Record, capacity)}
-}
-
-// Add appends one interval's record, overwriting the oldest retained record
-// once the ring is full. It performs no allocation.
-func (r *Recorder) Add(rec Record) {
-	r.buf[r.total%len(r.buf)] = rec
-	r.total++
-}
-
-// Len returns the number of records currently retained.
-func (r *Recorder) Len() int {
-	if r.total < len(r.buf) {
-		return r.total
-	}
-	return len(r.buf)
-}
-
-// Total returns the number of records ever added.
-func (r *Recorder) Total() int { return r.total }
-
-// Dropped returns how many early records the ring has overwritten.
-func (r *Recorder) Dropped() int {
-	if d := r.total - len(r.buf); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// At returns the i-th oldest retained record (0 <= i < Len()).
-func (r *Recorder) At(i int) Record {
-	return r.buf[(r.total-r.Len()+i)%len(r.buf)]
+	return &Recorder{ring: newRing[Record](capacity)}
 }
