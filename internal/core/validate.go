@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"yukta/internal/heuristic"
+	"yukta/internal/pool"
 	"yukta/internal/robust"
 	"yukta/internal/workload"
 )
@@ -68,39 +70,53 @@ func (p *Platform) SynthesizeHWSSVValidated(hp HWParams) (*robust.Controller, er
 // validateLadder synthesizes a candidate at each validation penalty, scores
 // each with the given validation run, and keeps the best-measured one among
 // those within the firmware-intervention budget (the last synthesized one
-// when none is). Only the kept design's μ lower bound is ever read, so it
-// alone pays for one: the candidates are synthesized without it.
+// when none is). Each rung is a pure function of its penalty, so the rungs
+// run concurrently on GOMAXPROCS workers into their own slots, and the
+// design is then picked from the slots in ladder order, as a sequential
+// ladder would (DESIGN.md §19). Only the kept design's μ lower bound is ever
+// read, so it alone pays for one: the candidates are synthesized without it.
 func validateLadder(layer string, spec func(minPenalty float64) *robust.Spec,
 	score func(*robust.Controller) (exd float64, emergencies int, err error)) (*robust.Controller, error) {
-	var best, fallback *robust.Controller
-	var bestSpec, fallbackSpec *robust.Spec
-	bestScore := math.Inf(1)
-	for _, pen := range validationPenalties {
-		s := spec(pen)
-		ctl, err := robust.SynthesizeWithoutLower(s)
-		if err != nil {
+	type rung struct {
+		spec *robust.Spec
+		ctl  *robust.Controller // nil when synthesis failed
+		exd  float64
+		emg  int
+		err  error // the validation run's
+	}
+	rungs := make([]rung, len(validationPenalties))
+	_ = pool.ForEach(runtime.GOMAXPROCS(0), len(rungs), func(i int) error { // failures stay in their slot
+		r := &rungs[i]
+		r.spec = spec(validationPenalties[i])
+		var err error
+		if r.ctl, err = robust.SynthesizeWithoutLower(r.spec); err == nil {
+			r.exd, r.emg, r.err = score(r.ctl)
+		}
+		return nil
+	})
+	var best, fallback *rung
+	bestScore := math.Inf(1) // a run that did not complete is never kept
+	for i := range rungs {
+		r := &rungs[i]
+		if r.ctl == nil {
 			continue
 		}
-		fallback, fallbackSpec = ctl, s
-		exd, emg, err := score(ctl)
-		if err != nil {
+		fallback = r
+		if r.err != nil || r.emg > maxValidationEmergencies {
 			continue
 		}
-		if emg > maxValidationEmergencies {
-			continue
-		}
-		if exd < bestScore {
-			best, bestSpec, bestScore = ctl, s, exd
+		if r.exd < bestScore {
+			best, bestScore = r, r.exd
 		}
 	}
 	if best == nil {
 		if fallback == nil {
 			return nil, fmt.Errorf("core: %s SSV validated synthesis failed at every penalty", layer)
 		}
-		best, bestSpec = fallback, fallbackSpec
+		best = fallback
 	}
-	robust.FillSSVLower(bestSpec, best)
-	return best, nil
+	robust.FillSSVLower(best.spec, best.ctl)
+	return best.ctl, nil
 }
 
 // osValidationScore deploys the candidate software controller in the full

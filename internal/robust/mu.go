@@ -26,7 +26,7 @@ import (
 // diagonal entries of D. A matrix with a non-finite entry gets +Inf: no
 // scaling bounds its gain.
 func MuUpperBound(m *mat.CMatrix) float64 {
-	s := newMuDescent(m)
+	s := newMuDescent(m, nil)
 	s.descend(nil)
 	return s.best
 }
@@ -46,8 +46,10 @@ type muDescent struct {
 }
 
 // newMuDescent returns the descent on m at its start, best being the
-// smaller of σ_max under the Perron scaling and under none.
-func newMuDescent(m *mat.CMatrix) *muDescent {
+// smaller of σ_max under the scaling d and under none. A nil d stands for
+// perronScaling(m), computed only once m is known to need a descent; the
+// descent keeps d and overwrites it.
+func newMuDescent(m *mat.CMatrix, d []float64) *muDescent {
 	n := m.Rows()
 	if n != m.Cols() {
 		// μ is defined for the square interconnection matrix; callers must
@@ -62,26 +64,10 @@ func newMuDescent(m *mat.CMatrix) *muDescent {
 	case n == 1:
 		return &muDescent{best: cmplx.Abs(m.At(0, 0)), done: true}
 	}
-	// Perron initialization on |M|: D_i = sqrt(u_i / v_i) where u, v are the
-	// left and right Perron vectors of the elementwise absolute value.
-	absM, absT := mat.Zeros(n, n), mat.Zeros(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a := cmplx.Abs(m.At(i, j))
-			absM.Set(i, j, a)
-			absT.Set(j, i, a)
-		}
+	if d == nil {
+		d = perronScaling(m)
 	}
-	u := perronVector(absT)
-	v := perronVector(absM)
-	s := &muDescent{m: m, dm: mat.CZeros(n, n), d: make([]float64, n), trial: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		if v[i] <= 1e-300 || u[i] <= 1e-300 {
-			s.d[i] = 1
-		} else {
-			s.d[i] = math.Sqrt(u[i] / v[i])
-		}
-	}
+	s := &muDescent{m: m, dm: mat.CZeros(n, n), d: d, trial: make([]float64, n)}
 	s.best = s.scaled(s.d, math.Inf(1))
 	if plain := s.ws.MaxSingularValue(m, math.Inf(1)); plain < s.best {
 		// Identity scaling is sometimes better than Perron for complex M.
@@ -93,13 +79,42 @@ func newMuDescent(m *mat.CMatrix) *muDescent {
 	return s
 }
 
+// perronScaling returns the Perron-based diagonal scaling of the square
+// matrix m, D_i = sqrt(u_i / v_i) where u and v are the left and right
+// Perron vectors of its elementwise absolute value |m| (1 where either is
+// 0). It is optimal for nonnegative matrices, and since |U m| = |m| it
+// serves every diagonal unitary U alike: the descent of the μ upper bound
+// starts from it, and the lower bound's cap is taken under it (lowerCap).
+func perronScaling(m *mat.CMatrix) []float64 {
+	n := m.Rows()
+	absM, absT := mat.Zeros(n, n), mat.Zeros(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a := cmplx.Abs(m.At(i, j))
+			absM.Set(i, j, a)
+			absT.Set(j, i, a)
+		}
+	}
+	u := perronVector(absT)
+	v := perronVector(absM)
+	d := make([]float64, n)
+	for i := range d {
+		if v[i] <= 1e-300 || u[i] <= 1e-300 {
+			d[i] = 1
+		} else {
+			d[i] = math.Sqrt(u[i] / v[i])
+		}
+	}
+	return d
+}
+
 // scaled returns σ_max(D M D^-1) for D = diag(d), given up at stop. Every
 // evaluation reuses one scaled matrix and one workspace.
 func (s *muDescent) scaled(d []float64, stop float64) float64 {
 	n := len(d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			s.dm.Set(i, j, s.m.At(i, j)*complex(d[i]/d[j], 0))
+			s.dm.Set(i, j, cmul(s.m.At(i, j), complex(d[i]/d[j], 0)))
 		}
 	}
 	return s.ws.MaxSingularValue(s.dm, stop)
@@ -167,7 +182,7 @@ func (p *muPeak) raise(v float64) {
 // The estimate never decreases in exact arithmetic; the 1e-9·best margin
 // absorbs the rounding of a converging iteration, so every trial that
 // would be accepted still runs to the value it always had.
-func rejectLevel(best float64) float64 { return best - 1e-12 + 1e-9*best }
+func rejectLevel(best float64) float64 { return best - 1e-12 + float64(1e-9*best) }
 
 // perronVector returns the (entrywise nonnegative) dominant eigenvector of a
 // nonnegative matrix via power iteration, normalized to unit 1-norm.
@@ -216,7 +231,7 @@ func SystemMu(sys *lti.StateSpace, nGrid int) (float64, error) {
 // upper bound. A non-finite response or μ at any grid point makes the upper
 // bound +Inf, so such a system is never certified robust.
 func SystemMuBounds(sys *lti.StateSpace, nGrid int, withLower bool) (lo, hi float64, err error) {
-	lo, hi, _ = sweepMu(sys, nGrid, true, withLower)
+	lo, hi, _, _ = sweepMu(sys, nGrid, true, withLower)
 	return lo, hi, nil
 }
 
@@ -227,32 +242,36 @@ var errNotFinite = errors.New("robust: frequency response not finite")
 // sweepMu evaluates the requested μ bounds of sys on the frequency grid
 // (an unrequested bound is returned as 0; a requested one is +Inf when any
 // grid point's response is not finite), and reports how many grid points
-// entered the upper bound's D-scale descent.
+// entered the upper bound's D-scale descent and how many ran the lower
+// bound's power iteration.
 //
 // The grid points are independent and run on up to GOMAXPROCS goroutines,
-// each writing its own slot: the response, its lower bound and the start of
-// its descent. The lower bounds are then reduced in index order and the
-// upper bound is peakMu of the descents. A maximum does not depend on the
-// order its terms arrive in, so the bounds are bit-identical at any worker
-// count (DESIGN.md §15).
-func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, descents int) {
+// each writing its own slot: the response, the start of its descent and
+// its lower bound's cap. The upper bound is then peakMu of the descents and
+// the lower bound peakLower of the responses. A maximum does not depend on
+// the order its terms arrive in, so the bounds are bit-identical at any
+// worker count (DESIGN.md §15).
+func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi float64, descents, lowers int) {
 	if nGrid < 8 {
 		nGrid = 8
 	}
-	los := make([]float64, nGrid+1)
+	gs := make([]*mat.CMatrix, nGrid+1)
+	caps := make([]float64, nGrid+1)
 	ds := make([]*muDescent, nGrid+1)
-	if pool.ForEach(runtime.GOMAXPROCS(0), len(ds), func(i int) error {
+	if pool.ForEach(runtime.GOMAXPROCS(0), len(gs), func(i int) error {
 		theta := math.Pi * float64(i) / float64(nGrid)
 		g, err := sys.Evaluate(cmplx.Exp(complex(0, theta)))
 		if err != nil || !g.AllFinite() {
 			// A pole on the unit circle, or a response with no finite gain.
 			return errNotFinite
 		}
-		if withUpper {
-			ds[i] = newMuDescent(g)
-		}
+		gs[i] = g
+		d := perronScaling(g)
 		if withLower {
-			los[i] = MuLowerBound(g)
+			caps[i] = lowerCap(g, d) // before the descent takes d over
+		}
+		if withUpper {
+			ds[i] = newMuDescent(g, d)
 		}
 		return nil
 	}) != nil {
@@ -262,58 +281,76 @@ func sweepMu(sys *lti.StateSpace, nGrid int, withUpper, withLower bool) (lo, hi 
 		if withLower {
 			lo = math.Inf(1)
 		}
-		return lo, hi, 0
+		return lo, hi, 0, 0
 	}
-	for _, v := range los {
-		if v > lo {
-			lo = v
-		}
+	if withLower {
+		lo, lowers = peakLower(gs, caps)
 	}
 	if withUpper {
 		hi, descents = peakMu(ds)
 	}
-	return lo, hi, descents
+	return lo, hi, descents, lowers
 }
 
 // peakMu returns the largest of the descents' final bounds, a NaN bound
 // (σ_max overflowed on a huge finite response) counting as +Inf, and how
-// many descents it ran. Only the maximum is wanted, so it visits the
-// descents in decreasing order of their starting bound, on up to
-// GOMAXPROCS goroutines, and runs one only while it can still set the
-// maximum: a descent never raises its bound, so one that starts, or comes
-// down to, at or below a finished bound cannot (DESIGN.md §17). It
-// reorders ds.
+// many descents it ran. A descent never raises its bound, so its starting
+// bound caps its final one, and one that starts, or comes down to, at or
+// below a finished bound cannot set the maximum (DESIGN.md §17).
 func peakMu(ds []*muDescent) (hi float64, descents int) {
-	// start ranks a descent by its starting bound, NaN (which never ends
-	// below anything) first.
-	start := func(s *muDescent) float64 {
+	starts := make([]float64, len(ds))
+	for i, s := range ds {
+		starts[i] = s.best
+	}
+	var entered atomic.Int64
+	hi = peakOver(starts, func(i int, peak *muPeak) (float64, bool) {
+		s := ds[i]
+		if !s.done {
+			entered.Add(1)
+			if s.descend(peak); !s.done {
+				return 0, false // stopped at the peak, short of its final bound
+			}
+		}
 		if math.IsNaN(s.best) {
+			return math.Inf(1), true
+		}
+		return s.best, true
+	})
+	return hi, int(entered.Load())
+}
+
+// peakOver returns the largest final value over grid points whose values
+// are capped by caps, computing only those that can still set it. It
+// visits the points in decreasing cap order, a NaN cap first, on up to
+// GOMAXPROCS goroutines, and skips a point whose cap is at or below the
+// largest final value so far. value computes point i's value against the
+// shared peak and reports whether it is final; only a final value may
+// raise the peak, so that every skip compares with a value some point
+// really has. The maximum of a set does not depend on the order its terms
+// arrive in, so the result's bits do not depend on the worker count or
+// the schedule; only the number of values computed does.
+func peakOver(caps []float64, value func(i int, peak *muPeak) (v float64, final bool)) float64 {
+	rank := func(i int) float64 {
+		if math.IsNaN(caps[i]) {
 			return math.Inf(1)
 		}
-		return s.best
+		return caps[i]
 	}
-	slices.SortStableFunc(ds, func(a, b *muDescent) int { return cmp.Compare(start(b), start(a)) })
-	// Only a finished bound may raise the peak: a descent that stopped at
-	// the peak has not reached its point's final bound.
+	order := make([]int, len(caps))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rank(b), rank(a)) })
 	var peak muPeak
-	var entered atomic.Int64
-	_ = pool.ForEach(runtime.GOMAXPROCS(0), len(ds), func(k int) error { // no job fails
-		s := ds[k]
-		if !s.done {
-			if s.best <= peak.load() {
-				return nil // its bound ends at or below the peak
-			}
-			entered.Add(1)
-			if s.descend(&peak); !s.done {
-				return nil
-			}
+	_ = pool.ForEach(runtime.GOMAXPROCS(0), len(order), func(k int) error { // no job fails
+		i := order[k]
+		if caps[i] <= peak.load() {
+			return nil
 		}
-		v := s.best
-		if math.IsNaN(v) {
-			v = math.Inf(1)
+		if v, final := value(i, &peak); final {
+			peak.raise(v)
 		}
-		peak.raise(v)
 		return nil
 	})
-	return peak.load(), int(entered.Load())
+	return peak.load()
 }

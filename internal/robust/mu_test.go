@@ -209,19 +209,17 @@ func TestSystemMuNonFiniteResponseUnrequestedBoundZero(t *testing.T) {
 		}
 	}
 	for _, d00 := range []float64{math.NaN(), math.Inf(1)} {
-		lo, hi, _ := sweepMu(nonFiniteSystem(t, d00), 24, false, true)
+		lo, hi, _, _ := sweepMu(nonFiniteSystem(t, d00), 24, false, true)
 		if hi != 0 || !math.IsInf(lo, 1) {
 			t.Fatalf("D[0][0]=%v: lower-bound sweep gave (lo, hi) = (%v, %v), want (+Inf, 0)", d00, lo, hi)
 		}
 	}
 }
 
-// TestSweepMuPrunesDescents guards the pruning itself, which the oracles
-// cannot see: a sweep that ran every descent would return the same bits.
-// On one CPU the 49-point sweep of a hardware-shaped closed loop (a 4×4
-// plant, so a 12×12 Δ block) visits its highest-starting point first, and
-// the descents of all but a point or two start below where that one ends.
-func TestSweepMuPrunesDescents(t *testing.T) {
+// hwShapedClosedLoop is the closed loop of a seeded hardware-shaped design:
+// a 4×4 plant, so a 12×12 Δ block.
+func hwShapedClosedLoop(t *testing.T) *lti.StateSpace {
+	t.Helper()
 	spec := &Spec{
 		Plant:        randStable(rand.New(rand.NewSource(1)), 8, 4, 4),
 		NumControls:  4,
@@ -241,14 +239,42 @@ func TestSweepMuPrunesDescents(t *testing.T) {
 	if cl.Inputs() != 12 || !cl.IsStable() {
 		t.Fatalf("closed loop has %d Δ channels (stable %v), want a stable 12", cl.Inputs(), cl.IsStable())
 	}
+	return cl
+}
+
+// TestSweepMuPrunesDescents guards the pruning itself, which the oracles
+// cannot see: a sweep that ran every descent would return the same bits.
+// On one CPU the 49-point sweep of a hardware-shaped closed loop visits its
+// highest-starting point first, and the descents of all but a point or two
+// start below where that one ends.
+func TestSweepMuPrunesDescents(t *testing.T) {
+	cl := hwShapedClosedLoop(t)
 	prev := runtime.GOMAXPROCS(1)
-	_, hi, descents := sweepMu(cl, 48, true, false)
+	_, hi, descents, _ := sweepMu(cl, 48, true, false)
 	runtime.GOMAXPROCS(prev)
 	if descents < 1 || descents > 2 {
 		t.Fatalf("sweep entered the descent at %d of 49 grid points, want 1 or 2", descents)
 	}
 	if _, want, _ := refSweepMu(cl, 48, true, false); math.Float64bits(hi) != math.Float64bits(want) {
 		t.Fatalf("pruned sweep %v, reference %v", hi, want)
+	}
+}
+
+// TestSweepMuPrunesLowerBounds is the same guard for the lower bound: on
+// one CPU the 25-point lower sweep of the hardware-shaped closed loop (the
+// sweep FillSSVLower runs on a kept design) visits its highest-capped point
+// first, and the caps of all but a few points fall at or below the bound
+// found there.
+func TestSweepMuPrunesLowerBounds(t *testing.T) {
+	cl := hwShapedClosedLoop(t)
+	prev := runtime.GOMAXPROCS(1)
+	lo, _, _, lowers := sweepMu(cl, 24, false, true)
+	runtime.GOMAXPROCS(prev)
+	if lowers < 1 || lowers > 4 {
+		t.Fatalf("sweep ran the lower bound at %d of 25 grid points, want 1 to 4", lowers)
+	}
+	if want, _, _ := refSweepMu(cl, 24, false, true); math.Float64bits(lo) != math.Float64bits(want) {
+		t.Fatalf("pruned lower sweep %v, reference %v", lo, want)
 	}
 }
 
@@ -293,7 +319,10 @@ func BenchmarkMuUpperBound(b *testing.B) {
 
 // BenchmarkSystemMuBounds times the two μ sweeps the design flow runs on a
 // closed loop: the 49-point upper-bound sweep of every synthesis step and
-// the 25-point lower-bound sweep of the kept design. The system is a seeded
+// the 25-point lower-bound sweep of the kept design, which runs the power
+// iteration only at the points whose caps exceed the bounds found so far.
+// This system's caps all lie above its peak lower bound, so every point
+// runs; the design flow's closed loops run 1 to 4. The system is a seeded
 // stable one of the hardware closed loop's shape (44 states, 12 Δ
 // channels); the grid points run on GOMAXPROCS workers.
 func BenchmarkSystemMuBounds(b *testing.B) {

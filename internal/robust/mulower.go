@@ -3,6 +3,8 @@ package robust
 import (
 	"math"
 	"math/cmplx"
+	"slices"
+	"sync/atomic"
 
 	"yukta/internal/mat"
 )
@@ -60,15 +62,15 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 				break
 			}
 			for i := range next {
-				ph := cmplx.Conj(phase(a[i]) * cmplx.Conj(phase(b[i])))
-				next[i] = a[i] * ph
+				ph := cmplx.Conj(cmul(phase(a[i]), cmplx.Conj(phase(b[i]))))
+				next[i] = cmul(a[i], ph)
 			}
 			normalizeVec(next)
 			// Certify this iterate: U aligns M's output phases back onto b.
 			for i := 0; i < n; i++ {
-				u := phase(b[i]) * cmplx.Conj(phase(a[i]))
+				u := cmul(phase(b[i]), cmplx.Conj(phase(a[i])))
 				for j := 0; j < n; j++ {
-					um[i*n+j] = u * md[i*n+j]
+					um[i*n+j] = cmul(u, md[i*n+j])
 				}
 			}
 			if rho := ws.spectralRadius(um); rho > best {
@@ -125,6 +127,63 @@ func (ws *embedWork) spectralRadius(md []complex128) float64 {
 	return rho
 }
 
+// lowerSlack sizes lowerCap's rounding allowance: the eigenvalue solver
+// returns the spectrum of a matrix within a backward error of about n·u (u
+// the unit roundoff, 1.1e-16) of its norm, and the slack is 10⁶ times that
+// at the Δ blocks' order, n ≤ 24 in the real embedding.
+const lowerSlack = 1e-8
+
+// lowerCap returns a number that MuLowerBound(m) cannot exceed, given a
+// positive diagonal scaling d of m; perronScaling(m) makes it tight. Each
+// candidate the lower bound certifies is ρ(U M) for a diagonal unitary U,
+// and since D U M D⁻¹ = U D M D⁻¹ with U norm-preserving,
+//
+//	ρ(U M) = ρ(D U M D⁻¹) ≤ σ_max(D M D⁻¹) ≤ ‖D M D⁻¹‖_F.
+//
+// The computed ρ is exact for a matrix a backward error E away, which D
+// scales by at most κ(D) = max d / min d; the allowance
+// lowerSlack·(‖D M D⁻¹‖_F + κ(D)·‖M‖_F) covers ‖D E D⁻¹‖ and the
+// rounding of the norms themselves (DESIGN.md §19). Without D the cap is
+// ‖M‖_F, too loose to skip most grid points.
+func lowerCap(m *mat.CMatrix, d []float64) float64 {
+	if len(d) == 0 {
+		return 0
+	}
+	// Hypot accumulates each norm without squaring an entry, so a tiny
+	// response cannot underflow to a zero cap.
+	var scaled, plain float64
+	for i := range d {
+		for j := range d {
+			a := cmplx.Abs(m.At(i, j))
+			scaled = math.Hypot(scaled, a*(d[i]/d[j]))
+			plain = math.Hypot(plain, a)
+		}
+	}
+	kappa := slices.Max(d) / slices.Min(d)
+	return scaled + float64(lowerSlack*(scaled+float64(kappa*plain)))
+}
+
+// peakLower returns the largest MuLowerBound over the responses gs, whose
+// caps (lowerCap) bound them, and how many it computed (DESIGN.md §19).
+// MuLowerBound starts at 0 and rises only on a larger value, so it is
+// never NaN and every value it returns is final.
+func peakLower(gs []*mat.CMatrix, caps []float64) (lo float64, lowers int) {
+	var ran atomic.Int64
+	lo = peakOver(caps, func(i int, _ *muPeak) (float64, bool) {
+		ran.Add(1)
+		return MuLowerBound(gs[i]), true
+	})
+	return lo, int(ran.Load())
+}
+
+// cmul returns x·y as Go's complex multiplication computes it on amd64,
+// (xr·yr − xi·yi) + (xr·yi + xi·yr)i, with each product rounded on its own
+// so that no architecture fuses it into a multiply-add.
+func cmul(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
+}
+
 func phase(v complex128) complex128 {
 	a := cmplx.Abs(v)
 	if a == 0 {
@@ -139,7 +198,7 @@ func mulVec(out, md, v []complex128) {
 	for i := range out {
 		var s complex128
 		for j, x := range v {
-			s += md[i*n+j] * x
+			s += cmul(md[i*n+j], x)
 		}
 		out[i] = s
 	}
@@ -148,7 +207,7 @@ func mulVec(out, md, v []complex128) {
 func vecNorm(v []complex128) float64 {
 	var s float64
 	for _, x := range v {
-		s += real(x)*real(x) + imag(x)*imag(x)
+		s += float64(real(x)*real(x)) + float64(imag(x)*imag(x))
 	}
 	return math.Sqrt(s)
 }

@@ -71,3 +71,36 @@ func TestMuBoundsTightFor2x2(t *testing.T) {
 		t.Fatalf("2x2 bound gap up to %.0f%%, lower-bound iteration too weak", worst*100)
 	}
 }
+
+// TestLowerCapBoundsMuLowerBound pins the invariant the pruned lower sweep
+// rests on (DESIGN.md §19): no lower bound exceeds its cap. Rank-one
+// matrices are the tight case, where the Perron-scaled Frobenius norm is μ
+// itself and the power iteration attains it; a single nonzero entry leaves
+// only the rounding allowance between the two.
+func TestLowerCapBoundsMuLowerBound(t *testing.T) {
+	holds := func(m *mat.CMatrix) bool {
+		lo, c := MuLowerBound(m), lowerCap(m, perronScaling(m))
+		if !(lo <= c) {
+			t.Logf("%d×%d: lower bound %v above its cap %v", m.Rows(), m.Cols(), lo, c)
+		}
+		return lo <= c
+	}
+	if err := quick.Check(func(c oracleCase) bool { return holds(c.m) }, oracleConfig(7, 100)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for n := 1; n <= 12; n++ {
+		u, v := randC(rng, n), randC(rng, n)
+		rankOne, single := mat.CZeros(n, n), mat.CZeros(n, n)
+		for i := 0; i < n; i++ {
+			scale := complex(math.Pow(10, float64(i%5-2)), 0)
+			for j := 0; j < n; j++ {
+				rankOne.Set(i, j, scale*u.At(i, 0)*v.At(0, j))
+			}
+		}
+		single.Set(n/2, n/2, u.At(n-1, n-1))
+		if !holds(rankOne) || !holds(single) {
+			t.Fatal("a lower bound exceeds its cap")
+		}
+	}
+}

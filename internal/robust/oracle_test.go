@@ -363,7 +363,7 @@ func sweepMatchesOracle(t *testing.T, c sweepCase) bool {
 	}
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		lo, hi, _ := sweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
+		lo, hi, _, _ := sweepMu(c.sys, c.nGrid, c.withUpper, c.withLower)
 		runtime.GOMAXPROCS(prev)
 		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
 			t.Logf("GOMAXPROCS %d, grid %d, upper %v, lower %v: got (%v, %v), want (%v, %v)",
@@ -379,7 +379,8 @@ func sweepMatchesOracle(t *testing.T, c sweepCase) bool {
 // systems; on systems whose peak sits at the first, a middle or the last
 // grid point; on a static system, where every grid point ties at the peak;
 // on an all-zero response; and, grid point by grid point, where exactly two
-// points share the peak.
+// points share the upper bound's peak and where the lower bound's peak is
+// not at its highest-capped point.
 func TestSweepMuMatchesOracle(t *testing.T) {
 	count := 5
 	if testing.Short() {
@@ -422,6 +423,33 @@ func TestSweepMuMatchesOracle(t *testing.T) {
 	ms[4] = ms[12]
 	if !peakMatchesOracle(t, ms) {
 		t.Fatal("pruned peak differs from the reference with two equal peaks")
+	}
+
+	// The highest-capped point is strictly upper triangular, so every ρ(U M)
+	// there is 0 but for rounding: its lower bound is far below the others',
+	// and a sweep that stopped after its first point would return it.
+	ls := make([]*mat.CMatrix, 13)
+	for i := range ls {
+		ls[i] = randC(rng, 6).Scale(complex(0.5+0.02*float64(i), 0))
+	}
+	nil6 := mat.CZeros(6, 6)
+	for i := 0; i < 6; i++ {
+		for j := i + 1; j < 6; j++ {
+			nil6.Set(i, j, complex(3*rng.NormFloat64(), 3*rng.NormFloat64()))
+		}
+	}
+	ls[7] = nil6
+	first := 0
+	for i, m := range ls {
+		if lowerCap(m, perronScaling(m)) > lowerCap(ls[first], perronScaling(ls[first])) {
+			first = i
+		}
+	}
+	if lo := refMuLowerBound(ls[first]); first != 7 || lo >= refMuLowerBound(ls[0]) {
+		t.Fatalf("highest cap at point %d (lower bound %v), want the nilpotent point 7 with the smallest", first, lo)
+	}
+	if !lowerPeakMatchesOracle(t, ls) {
+		t.Fatal("pruned lower peak differs from the reference when the highest cap holds no peak")
 	}
 }
 
@@ -493,13 +521,38 @@ func peakMatchesOracle(t *testing.T, ms []*mat.CMatrix) bool {
 	for _, procs := range []int{1, 2, 8} {
 		ds := make([]*muDescent, len(ms))
 		for i, m := range ms {
-			ds[i] = newMuDescent(m)
+			ds[i] = newMuDescent(m, nil)
 		}
 		prev := runtime.GOMAXPROCS(procs)
 		got, _ := peakMu(ds)
 		runtime.GOMAXPROCS(prev)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Logf("GOMAXPROCS %d: peak %v, want %v", procs, got, want)
+			return false
+		}
+	}
+	return true
+}
+
+// lowerPeakMatchesOracle reports whether peakLower over ms returns, at
+// GOMAXPROCS 1, 2 and 8, the bits of refSweepMu's reduction of
+// refMuLowerBound over the same matrices.
+func lowerPeakMatchesOracle(t *testing.T, ms []*mat.CMatrix) bool {
+	t.Helper()
+	var want float64
+	caps := make([]float64, len(ms))
+	for i, m := range ms {
+		if v := refMuLowerBound(m); v > want {
+			want = v
+		}
+		caps[i] = lowerCap(m, perronScaling(m))
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, _ := peakLower(ms, caps)
+		runtime.GOMAXPROCS(prev)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Logf("GOMAXPROCS %d: lower peak %v, want %v", procs, got, want)
 			return false
 		}
 	}

@@ -256,9 +256,11 @@ func SynthesizeWithoutLower(spec *Spec) (*Controller, error) {
 }
 
 // FillSSVLower sets ctl.Report.SSVLower, the peak μ lower bound of its
-// closed loop, when ctl is certified robust (SSV <= 1); ctl must come from
-// SynthesizeWithoutLower(spec). An uncertified design, or one whose closed
-// loop cannot be formed, keeps 0.
+// closed loop over a 25-point frequency grid, when ctl is certified robust
+// (SSV <= 1); ctl must come from SynthesizeWithoutLower(spec). Only the
+// peak is kept, so the power iteration runs only at the grid points whose
+// caps exceed the bounds already found (DESIGN.md §19). An uncertified
+// design, or one whose closed loop cannot be formed, keeps 0.
 func FillSSVLower(spec *Spec, ctl *Controller) {
 	if !(ctl.Report.SSV <= 1) {
 		return
@@ -268,7 +270,7 @@ func FillSSVLower(spec *Spec, ctl *Controller) {
 		return
 	}
 	// The upper bound is already in the report: sweep the lower one alone.
-	ctl.Report.SSVLower, _, _ = sweepMu(cl, 24, false, true)
+	ctl.Report.SSVLower, _, _, _ = sweepMu(cl, 24, false, true)
 }
 
 // DesignAtPenalty synthesizes a single SSV candidate at the given control
@@ -411,7 +413,7 @@ func designCandidate(spec *Spec, rho, intW float64, uFeedback bool) (*lti.StateS
 	}
 	q := cAug.T().Mul(mat.Diag(qy)).Mul(cAug)
 	for i := 0; i < ny; i++ {
-		q.Set(n+i, n+i, q.At(n+i, n+i)+intW*qy[i])
+		q.Set(n+i, n+i, q.At(n+i, n+i)+float64(intW*qy[i]))
 	}
 	// Regularize to keep Q positive semidefinite and detectable.
 	for i := 0; i < na; i++ {

@@ -460,7 +460,7 @@ func (r *Runtime) Health() Health {
 		if span <= 0 {
 			span = math.Max(math.Abs(hi), 1)
 		}
-		if raw < lo-0.5*span || raw > hi+0.5*span {
+		if raw < lo-float64(0.5*span) || raw > hi+float64(0.5*span) {
 			h.Railed = true
 		}
 	}
