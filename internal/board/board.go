@@ -216,7 +216,7 @@ func quantizeFreq(c ClusterConfig, f, cur float64) float64 {
 	steps := math.Round((f - c.FreqMinGHz) / c.FreqStepGHz)
 	// Round to a clean multiple: operating points are exact firmware table
 	// entries, not accumulated floating-point sums.
-	return math.Round((c.FreqMinGHz+steps*c.FreqStepGHz)*1e6) / 1e6
+	return math.Round((c.FreqMinGHz+float64(steps*c.FreqStepGHz))*1e6) / 1e6
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
@@ -336,12 +336,14 @@ func (b *Board) LittleFreq() float64 { return b.littleFreq }
 
 // EffectiveBigFreq returns the frequency after firmware throttle caps and
 // the fleet budget-governor ceiling (the minimum of all three authorities).
+//
+// The builtin min has math.Min's NaN and ±0 semantics and compiles inline.
 func (b *Board) EffectiveBigFreq() float64 {
-	return math.Min(math.Min(b.bigFreq, b.tmu.bigCap), b.budget.capGHz)
+	return min(b.bigFreq, b.tmu.bigCap, b.budget.capGHz)
 }
 
 // EffectiveLittleFreq returns the little frequency after firmware caps.
-func (b *Board) EffectiveLittleFreq() float64 { return math.Min(b.littleFreq, b.tmu.littleCap) }
+func (b *Board) EffectiveLittleFreq() float64 { return min(b.littleFreq, b.tmu.littleCap) }
 
 // Place sets the thread placement. Changing the placement charges the
 // migration penalty for every thread whose cluster assignment changes.
@@ -361,7 +363,7 @@ func (b *Board) Place(p Placement) {
 		p.ThreadsLittle = 0
 	}
 	moved := absInt(p.ThreadsBig - b.place.ThreadsBig)
-	b.migStallS += float64(moved) * b.cfg.MigrationPenalty.Seconds()
+	b.migStallS += float64(float64(moved) * b.cfg.MigrationPenalty.Seconds())
 	b.place = p
 }
 
@@ -370,7 +372,7 @@ func (b *Board) Place(p Placement) {
 // round-robin scheduler rotating thread-to-core assignments).
 func (b *Board) ChargeMigrations(n int) {
 	if n > 0 {
-		b.migStallS += float64(n) * b.cfg.MigrationPenalty.Seconds()
+		b.migStallS += float64(float64(n) * b.cfg.MigrationPenalty.Seconds())
 	}
 }
 
@@ -425,7 +427,7 @@ func (b *Board) evalOps(k opKey) (big, little opPoint) {
 func (b *Board) evalCluster(c ClusterConfig, coresOn int, freq float64, threads int,
 	tpcWanted float64, ipc, memBound float64, totalBusy int) opPoint {
 
-	v := c.VoltBase + c.VoltPerGHz*freq
+	v := c.VoltBase + float64(c.VoltPerGHz*freq)
 
 	busy := busyCores(threads, tpcWanted, coresOn)
 	var tpc float64 // threads per busy core
@@ -435,7 +437,7 @@ func (b *Board) evalCluster(c ClusterConfig, coresOn int, freq float64, threads 
 
 	// Memory-boundedness inflated by bandwidth contention across all busy
 	// cores on the chip.
-	mb := memBound * (1 + b.cfg.MemContentionPerCore*float64(maxInt(totalBusy-1, 0)))
+	mb := memBound * (1 + float64(b.cfg.MemContentionPerCore*float64(maxInt(totalBusy-1, 0))))
 	if mb > 0.92 {
 		mb = 0.92
 	}
@@ -453,9 +455,9 @@ func (b *Board) evalCluster(c ClusterConfig, coresOn int, freq float64, threads 
 
 	// Power: busy cores burn full dynamic power weighted by stall activity;
 	// idle-but-on cores burn the idle activity; all on cores leak.
-	activity := (1 - mb) + mb*c.StallPowerFactor
-	pBusy := float64(busy) * c.CdynWPerV2GHz * v * v * freq * activity
-	pIdle := float64(coresOn-busy) * c.CdynWPerV2GHz * v * v * freq * c.IdleActivity
+	activity := (1 - mb) + float64(mb*c.StallPowerFactor)
+	pBusy := float64(float64(busy) * c.CdynWPerV2GHz * v * v * freq * activity)
+	pIdle := float64(float64(coresOn-busy) * c.CdynWPerV2GHz * v * v * freq * c.IdleActivity)
 	return opPoint{
 		rateGIPS: float64(busy) * ratePerCore * mux,
 		dynW:     pBusy + pIdle,
@@ -476,8 +478,10 @@ func busyCores(threads int, tpc float64, coresOn int) int {
 //
 // The clusters' operating points are recomputed only when their inputs
 // (opKey) change — a phase change, an actuator or placement write, or a
-// firmware or budget cap step — so a substep costs one Profile call, a key
-// comparison and the temperature-dependent leakage.
+// firmware or budget cap step. Actuator and placement writes happen only
+// between calls and caps move only when a governor reaches its step period,
+// so the full key is rebuilt and compared on entry and after such a step;
+// every other substep compares just the workload profile.
 func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 	stepS := b.cfg.SimStep.Seconds()
 	nSteps := int(math.Round(dt.Seconds() / stepS))
@@ -487,18 +491,25 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 	sensorS := b.cfg.PowerSensorPeriod.Seconds() - 1e-9
 	scaleBig, scaleLittle := b.cfg.Big.StaticTempScaleC, b.cfg.Little.StaticTempScaleC
 	var instT, instB, instL float64
+	rekey := true // the key's non-profile inputs may have moved
 	for i := 0; i < nSteps; i++ {
-		k := opKey{
-			prof:        w.Profile(),
-			fBig:        b.EffectiveBigFreq(),
-			fLittle:     b.EffectiveLittleFreq(),
-			bigCores:    b.bigCores,
-			littleCores: b.littleCores,
-			place:       b.place,
-		}
-		if !b.opValid || k != b.opKey {
-			b.opBig, b.opLittle = b.evalOps(k)
-			b.opKey, b.opValid = k, true
+		prof := w.Profile()
+		if rekey {
+			k := opKey{
+				prof:        prof,
+				fBig:        b.EffectiveBigFreq(),
+				fLittle:     b.EffectiveLittleFreq(),
+				bigCores:    b.bigCores,
+				littleCores: b.littleCores,
+				place:       b.place,
+			}
+			if !b.opValid || k != b.opKey {
+				b.opBig, b.opLittle = b.evalOps(k)
+				b.opKey, b.opValid = k, true
+			}
+		} else if prof != b.opKey.prof {
+			b.opKey.prof = prof
+			b.opBig, b.opLittle = b.evalOps(b.opKey)
 		}
 		// Equal leakage scales (the default) give the same exponent, and so
 		// the same factor, for both clusters.
@@ -509,8 +520,8 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 		}
 		// (pBusy+pIdle) + (coresOn·StaticBaseW)·exp is the operation order
 		// the golden traces were recorded with; keep it.
-		bigW := b.opBig.dynW + b.opBig.leakW*leakBig
-		littleW := b.opLittle.dynW + b.opLittle.leakW*leakLittle
+		bigW := b.opBig.dynW + float64(b.opBig.leakW*leakBig)
+		littleW := b.opLittle.dynW + float64(b.opLittle.leakW*leakLittle)
 
 		// Migration stalls eat into this step's execution.
 		execS := stepS
@@ -524,20 +535,20 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 			}
 		}
 
-		gB := b.opBig.rateGIPS * execS
-		gL := b.opLittle.rateGIPS * execS
+		gB := float64(b.opBig.rateGIPS * execS)
+		gL := float64(b.opLittle.rateGIPS * execS)
 		w.Advance(gB + gL)
 		instB += gB
 		instL += gL
 		instT += gB + gL
 
 		pTotal := bigW + littleW + b.cfg.BasePowerW
-		b.energyJ += pTotal * stepS
-		b.windowBigE += bigW * stepS
-		b.windowLittleE += littleW * stepS
+		b.energyJ += float64(pTotal * stepS)
+		b.windowBigE += float64(bigW * stepS)
+		b.windowLittleE += float64(littleW * stepS)
 
 		// Thermal RC integration.
-		tss := b.cfg.AmbientC + b.cfg.ThermalRCW*pTotal
+		tss := b.cfg.AmbientC + float64(b.cfg.ThermalRCW*pTotal)
 		b.tempC += stepS * (tss - b.tempC) / b.cfg.ThermalTauS
 
 		b.nowS += stepS
@@ -548,7 +559,7 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 			b.sensedBigW = b.windowBigE / win
 			b.sensedLittleW = b.windowLittleE / win
 			if b.noise != nil {
-				b.sensedBigW = math.Max(0, b.sensedBigW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd)
+				b.sensedBigW = math.Max(0, b.sensedBigW+float64(b.noise.NormFloat64()*b.cfg.SensorNoiseStd))
 				b.sensedLittleW = math.Max(0, b.sensedLittleW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd/10)
 			}
 			b.windowBigE, b.windowLittleE = 0, 0
@@ -556,10 +567,11 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 		}
 
 		// Firmware emergency management sees instantaneous physics.
-		b.tmu.step(b, bigW, littleW, stepS)
+		tmuStepped := b.tmu.step(b, bigW, littleW, stepS)
 		// The budget governor enforces the board-level power cap on the
 		// total draw, after (and never overriding) the emergency paths.
-		b.budget.step(b, pTotal, stepS)
+		budgetStepped := b.budget.step(b, pTotal, stepS)
+		rekey = tmuStepped || budgetStepped
 	}
 	b.instTotal += instT
 	b.instBig += instB

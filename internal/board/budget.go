@@ -72,10 +72,11 @@ func (g *budget) setCap(w, maxGHz float64) {
 }
 
 // step advances the governor by dt seconds given the instantaneous total
-// board power (big + little + base).
-func (g *budget) step(b *Board, totalW, dt float64) {
+// board power (big + little + base). It reports whether the step period
+// elapsed, the only time the ceiling can move.
+func (g *budget) step(b *Board, totalW, dt float64) bool {
 	if g.capW <= 0 {
-		return
+		return false
 	}
 	g.sinceStepS += dt
 	if totalW > g.capW {
@@ -86,7 +87,7 @@ func (g *budget) step(b *Board, totalW, dt float64) {
 		g.overS = 0
 	}
 	if g.sinceStepS < g.stepPeriod {
-		return
+		return false
 	}
 	g.sinceStepS = 0
 	big := &b.cfg.Big
@@ -105,6 +106,7 @@ func (g *budget) step(b *Board, totalW, dt float64) {
 			g.engaged = false
 		}
 	}
+	return true
 }
 
 // SetPowerCapW imposes a board-level power budget in watts on the total

@@ -36,8 +36,9 @@ func newTMU(cfg Config) tmu {
 }
 
 // step advances the firmware state machine by dt seconds given instantaneous
-// cluster powers.
-func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
+// cluster powers. It reports whether the step period elapsed, the only time
+// a cap can move.
+func (t *tmu) step(b *Board, bigW, littleW, dt float64) bool {
 	cfg := &b.cfg
 	t.sinceStepS += dt
 
@@ -61,7 +62,7 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
 	track(forced || b.tempC > cfg.TempEmergencyC, &t.overTempS, &t.underTempS)
 
 	if t.sinceStepS < t.stepPeriod {
-		return
+		return false
 	}
 	t.sinceStepS = 0
 	hystBig := cfg.BigPowerEmergencyW * (1 - cfg.EmergencyHysteresisPct)
@@ -117,7 +118,7 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
 			t.events++
 		}
 		t.bigCap = math.Max(cfg.Big.FreqMinGHz,
-			math.Min(t.bigCap, b.EffectiveBigFreq())-3*cfg.Big.FreqStepGHz)
+			math.Min(t.bigCap, b.EffectiveBigFreq())-float64(3*cfg.Big.FreqStepGHz))
 	case t.engagedTemp && t.underTempS >= t.release && b.tempC < hystTemp:
 		t.bigCap += cfg.Big.FreqStepGHz
 		if t.bigCap >= cfg.Big.FreqMaxGHz {
@@ -125,4 +126,5 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) {
 			t.engagedTemp = false
 		}
 	}
+	return true
 }

@@ -15,9 +15,13 @@ import (
 // synthesisFingerprint is the SHA-256 TestSynthesisFingerprint computes. It
 // was taken before the μ sweep learned to skip descents that cannot set its
 // peak (DESIGN.md §17), so it pins every identified model and synthesized
-// controller to the bits they had then. It is an amd64 fact: an
-// architecture whose compiler fuses x*y + z into one FMA rounds
-// differently and would read another digest (ROADMAP item 2).
+// controller to the bits they had then. The packages
+// TestIdentificationHasNoFusedMultiplyAdd checks fuse no multiply-add on
+// arm64, but math.Exp is not portable: on amd64 it takes a fused
+// multiply-add path when the CPU has AVX and FMA, and under
+// GODEBUG=cpu.fma=off this test reads 14d0c0b3… instead; arm64 computes it
+// with another algorithm. So the digest holds on amd64 hosts with FMA
+// (ROADMAP item 2).
 const synthesisFingerprint = "1df067b0f544b4008ed9e735ffc37813588f0d35b78b8248d7330792a6d308a0"
 
 // TestSynthesisFingerprint hashes the Float64bits of the five identified

@@ -94,7 +94,7 @@ func TestNewPlatformReportsFirstSequentialError(t *testing.T) {
 // explicit float64(x*y) conversion forbids it. The arithmetic of a listed
 // package then rounds alike on every architecture; calls into unlisted
 // packages still may not.
-var fmaCheckedPackages = []string{"./internal/lti", "./internal/sysid", "./internal/robust", "./internal/ssvctl", "./internal/core", "./internal/fleet", "./internal/obs"}
+var fmaCheckedPackages = []string{"./internal/lti", "./internal/sysid", "./internal/robust", "./internal/ssvctl", "./internal/core", "./internal/fleet", "./internal/obs", "./internal/board", "./internal/mat"}
 
 // fusedOp matches one fused multiply-add in the compiler's assembly listing
 // and captures its file:line.
@@ -102,7 +102,8 @@ var fusedOp = regexp.MustCompile(`\(([^()]+:\d+)\)\s+(FMADDD|FMSUBD|FNMADDD|FNMS
 
 // TestIdentificationHasNoFusedMultiplyAdd cross-compiles fmaCheckedPackages
 // (identification, μ-synthesis, the SSV runtime, the controller schemes, the
-// fleet coordinators and the metrics registry) for arm64 with the assembly
+// fleet coordinators, the metrics registry, board physics and the dense
+// matrix kernels) for arm64 with the assembly
 // listing on and fails on any fused multiply-add, naming each site.
 // Functions from other packages inlined into a checked one
 // (mat.Matrix.FrobeniusNorm into lti) are checked with it.

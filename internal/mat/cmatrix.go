@@ -94,11 +94,19 @@ func (m *CMatrix) Sub(b *CMatrix) *CMatrix {
 	return out
 }
 
+// CMul returns x·y as Go's complex multiplication computes it on amd64,
+// (xr·yr − xi·yi) + (xr·yi + xi·yr)i, with each real product rounded on its
+// own so that no architecture fuses it into a multiply-add.
+func CMul(x, y complex128) complex128 {
+	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
+	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
+}
+
 // Scale returns s*m.
 func (m *CMatrix) Scale(s complex128) *CMatrix {
 	out := m.Clone()
 	for i := range out.data {
-		out.data[i] *= s
+		out.data[i] = CMul(out.data[i], s)
 	}
 	return out
 }
@@ -118,7 +126,7 @@ func (m *CMatrix) Mul(b *CMatrix) *CMatrix {
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			orow := out.data[i*out.cols : (i+1)*out.cols]
 			for j, bv := range brow {
-				orow[j] += mv * bv
+				orow[j] += CMul(mv, bv)
 			}
 		}
 	}
@@ -187,10 +195,10 @@ func CSolve(a, b *CMatrix) (*CMatrix, error) {
 			}
 			lu.Set(i, k, 0)
 			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= f * lu.data[k*n+j]
+				lu.data[i*n+j] -= CMul(f, lu.data[k*n+j])
 			}
 			for j := 0; j < x.cols; j++ {
-				x.data[i*x.cols+j] -= f * x.data[k*x.cols+j]
+				x.data[i*x.cols+j] -= CMul(f, x.data[k*x.cols+j])
 			}
 		}
 	}
@@ -205,7 +213,7 @@ func CSolve(a, b *CMatrix) (*CMatrix, error) {
 				continue
 			}
 			for j := 0; j < x.cols; j++ {
-				x.data[i*x.cols+j] -= f * x.data[k*x.cols+j]
+				x.data[i*x.cols+j] -= CMul(f, x.data[k*x.cols+j])
 			}
 		}
 	}
@@ -286,7 +294,7 @@ func (ws *SVWork) MaxSingularValue(m *CMatrix, stop float64) float64 {
 				continue
 			}
 			for j, bv := range m.data[k*m.cols : (k+1)*m.cols] {
-				hrow[j] += mv * bv
+				hrow[j] += CMul(mv, bv)
 			}
 		}
 	}
@@ -332,9 +340,9 @@ func hv(w, h, v []complex128) {
 		r2 := h[(i+2)*n:][:n]
 		var s0, s1, s2 complex128
 		for j, x := range v {
-			s0 += r0[j] * x
-			s1 += r1[j] * x
-			s2 += r2[j] * x
+			s0 += CMul(r0[j], x)
+			s1 += CMul(r1[j], x)
+			s2 += CMul(r2[j], x)
 		}
 		w[i], w[i+1], w[i+2] = s0, s1, s2
 	}
@@ -342,7 +350,7 @@ func hv(w, h, v []complex128) {
 		row := h[i*n:][:n]
 		var s complex128
 		for j, x := range v {
-			s += row[j] * x
+			s += CMul(row[j], x)
 		}
 		w[i] = s
 	}
@@ -355,7 +363,7 @@ func hv(w, h, v []complex128) {
 func normalizeC(v []complex128) float64 {
 	var s float64
 	for _, x := range v {
-		s += real(x)*real(x) + imag(x)*imag(x)
+		s += float64(real(x)*real(x)) + float64(imag(x)*imag(x))
 	}
 	nrm := math.Sqrt(s)
 	if nrm == 0 {

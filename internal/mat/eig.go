@@ -164,10 +164,10 @@ func hessenberg(d []float64, n int) {
 				y /= x
 				rowI[m-1] = y
 				for j := m; j < n; j++ {
-					rowI[j] -= y * rowM[j]
+					rowI[j] -= float64(y * rowM[j])
 				}
 				for j := 0; j < n; j++ {
-					d[j*n+m] += y * d[j*n+i]
+					d[j*n+m] += float64(y * d[j*n+i])
 				}
 			}
 		}
@@ -214,11 +214,11 @@ func hqr(d []float64, n int, wr, wi []float64) error {
 				break
 			}
 			y := d[(nn-1)*n+nn-1]
-			w := d[nn*n+nn-1] * d[(nn-1)*n+nn]
+			w := float64(d[nn*n+nn-1] * d[(nn-1)*n+nn])
 			if l == nn-1 {
 				// Two roots found.
-				p := 0.5 * (y - x)
-				q := p*p + w
+				p := float64(0.5 * (y - x))
+				q := float64(p*p) + w
 				z := math.Sqrt(math.Abs(q))
 				x += t
 				if q >= 0 {
@@ -266,7 +266,7 @@ func hqr(d []float64, n int, wr, wi []float64) error {
 				z = d[m*n+m]
 				r = x - z
 				s := y - z
-				p = (r*s-w)/d[(m+1)*n+m] + d[m*n+m+1]
+				p = (float64(r*s)-w)/d[(m+1)*n+m] + d[m*n+m+1]
 				q = d[(m+1)*n+m+1] - z - r - s
 				r = d[(m+2)*n+m+1]
 				s = math.Abs(p) + math.Abs(q) + math.Abs(r)
@@ -276,8 +276,8 @@ func hqr(d []float64, n int, wr, wi []float64) error {
 				if m == l {
 					break
 				}
-				u := math.Abs(d[m*n+m-1]) * (math.Abs(q) + math.Abs(r))
-				v := math.Abs(p) * (math.Abs(d[(m-1)*n+m-1]) + math.Abs(z) + math.Abs(d[(m+1)*n+m+1]))
+				u := float64(math.Abs(d[m*n+m-1]) * (math.Abs(q) + math.Abs(r)))
+				v := float64(math.Abs(p) * (math.Abs(d[(m-1)*n+m-1]) + math.Abs(z) + math.Abs(d[(m+1)*n+m+1])))
 				if u+v == v {
 					break
 				}
@@ -303,7 +303,7 @@ func hqr(d []float64, n int, wr, wi []float64) error {
 						r /= x
 					}
 				}
-				s := math.Sqrt(p*p + q*q + r*r)
+				s := math.Sqrt(float64(p*p) + float64(q*q) + float64(r*r))
 				if p < 0 {
 					s = -s
 				}
@@ -325,13 +325,13 @@ func hqr(d []float64, n int, wr, wi []float64) error {
 				r /= p
 				rowK, rowK1 := d[k*n:(k+1)*n], d[(k+1)*n:(k+2)*n]
 				for j := k; j <= nn; j++ {
-					p = rowK[j] + q*rowK1[j]
+					p = rowK[j] + float64(q*rowK1[j])
 					if k != nn-1 {
-						p += r * d[(k+2)*n+j]
-						d[(k+2)*n+j] -= p * z
+						p += float64(r * d[(k+2)*n+j])
+						d[(k+2)*n+j] -= float64(p * z)
 					}
-					rowK1[j] -= p * y
-					rowK[j] -= p * x
+					rowK1[j] -= float64(p * y)
+					rowK[j] -= float64(p * x)
 				}
 				mmin := nn
 				if nn > k+3 {
@@ -339,12 +339,12 @@ func hqr(d []float64, n int, wr, wi []float64) error {
 				}
 				for i := l; i <= mmin; i++ {
 					row := d[i*n : (i+1)*n]
-					p = x*row[k] + y*row[k+1]
+					p = float64(x*row[k]) + float64(y*row[k+1])
 					if k != nn-1 {
-						p += z * row[k+2]
-						row[k+2] -= p * r
+						p += float64(z * row[k+2])
+						row[k+2] -= float64(p * r)
 					}
-					row[k+1] -= p * q
+					row[k+1] -= float64(p * q)
 					row[k] -= p
 				}
 			}

@@ -58,7 +58,7 @@ func LUDecompose(a *Matrix) *LU {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= f * lu.data[k*n+j]
+				lu.data[i*n+j] -= float64(f * lu.data[k*n+j])
 			}
 		}
 	}
@@ -112,7 +112,7 @@ func (f *LU) Solve(b *Matrix) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < x.cols; j++ {
-				x.data[i*x.cols+j] -= l * x.data[k*x.cols+j]
+				x.data[i*x.cols+j] -= float64(l * x.data[k*x.cols+j])
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func (f *LU) Solve(b *Matrix) (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < x.cols; j++ {
-				x.data[i*x.cols+j] -= u * x.data[k*x.cols+j]
+				x.data[i*x.cols+j] -= float64(u * x.data[k*x.cols+j])
 			}
 		}
 	}

@@ -190,7 +190,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += mv * bv
+				orow[j] += float64(mv * bv)
 			}
 		}
 	}
@@ -206,6 +206,10 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 // dst is grown when its capacity is insufficient; passing a reusable scratch
 // slice makes repeated products allocation-free — the 500 ms control loop
 // steps controller state machines through this path.
+//
+// It runs four rows at a time with one accumulator per row, so the rows'
+// additions overlap instead of waiting on one another; each row still sums
+// its terms in column order, giving the bits of a row-by-row loop.
 func (m *Matrix) MulVecTo(dst, v []float64) []float64 {
 	if m.cols != len(v) {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", m.rows, m.cols, len(v)))
@@ -214,11 +218,27 @@ func (m *Matrix) MulVecTo(dst, v []float64) []float64 {
 		dst = make([]float64, m.rows)
 	}
 	dst = dst[:m.rows]
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
+	n := len(v)
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		r0 := m.data[i*n:][:n]
+		r1 := m.data[(i+1)*n:][:n]
+		r2 := m.data[(i+2)*n:][:n]
+		r3 := m.data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += float64(r0[j] * x)
+			s1 += float64(r1[j] * x)
+			s2 += float64(r2[j] * x)
+			s3 += float64(r3[j] * x)
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.rows; i++ {
+		row := m.data[i*n:][:n]
 		var s float64
-		for j, rv := range row {
-			s += rv * v[j]
+		for j, x := range v {
+			s += float64(row[j] * x)
 		}
 		dst[i] = s
 	}

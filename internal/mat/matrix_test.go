@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -114,6 +115,25 @@ func TestMulVecMatchesMul(t *testing.T) {
 		if math.Abs(g-want.At(i, 0)) > 1e-14 {
 			t.Fatalf("MulVec mismatch at %d: %v vs %v", i, g, want.At(i, 0))
 		}
+	}
+}
+
+// BenchmarkMulVecTo times one product into a reused dst at square orders
+// either side of the synthesized controllers' state orders (the hardware SSV
+// design's A is 20×20, the OS design's 15×15, the monolithic LQG's 28×28).
+func BenchmarkMulVecTo(b *testing.B) {
+	for _, n := range []int{12, 24} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := randMatrix(rng, n, n)
+			v := randMatrix(rng, n, 1).data
+			dst := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = m.MulVecTo(dst, v)
+			}
+		})
 	}
 }
 

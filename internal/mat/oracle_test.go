@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -15,7 +16,9 @@ import (
 // first produced with, kept verbatim: they read and write entries through
 // At and Set, and σ_max forms one row of h·v at a time. The production
 // kernels index the backing slice directly and run σ_max's product three
-// rows at a time; neither may change a bit of any result.
+// rows at a time; neither may change a bit of any result. MulVecTo, the
+// controllers' state-space product, runs four rows at a time and is held to
+// its one-row loop, refMulVecTo.
 
 func refEigenvalues(a *Matrix) ([]complex128, error) {
 	if a.rows != a.cols {
@@ -656,5 +659,72 @@ func TestMaxSingularValueMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, kernelConfig(3, 600)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMulVecTo is MulVecTo as it was before the row blocking: one row, one
+// accumulator at a time.
+func refMulVecTo(m *Matrix, dst, v []float64) []float64 {
+	if m.cols != len(v) {
+		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", m.rows, m.cols, len(v)))
+	}
+	if cap(dst) < m.rows {
+		dst = make([]float64, m.rows)
+	}
+	dst = dst[:m.rows]
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		var s float64
+		for j, rv := range row {
+			s += rv * v[j]
+		}
+		dst[i] = s
+	}
+	return dst
+}
+
+// mulVecEntries returns n quick-generated entries: normals over seven
+// decades, and one in six drawn from NaN, ±Inf, −0 and +0.
+func mulVecEntries(r *rand.Rand, n int) []float64 {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	d := make([]float64, n)
+	for i := range d {
+		if r.Intn(6) == 0 {
+			d[i] = special[r.Intn(len(special))]
+		} else {
+			d[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(7)-3))
+		}
+	}
+	return d
+}
+
+// TestMulVecToMatchesOracle asserts the row-blocked MulVecTo is
+// bit-identical to the one-row loop at every order from 0×0 to 13×13, so
+// every remainder of the four-row block occurs with every column count,
+// through one dst reused with spare capacity and stale contents.
+func TestMulVecToMatchesOracle(t *testing.T) {
+	dst := make([]float64, 0, 16)
+	backing := &dst[:1][0]
+	for rows := 0; rows <= 13; rows++ {
+		for cols := 0; cols <= 13; cols++ {
+			f := func(data, v []float64) bool {
+				m := New(rows, cols, data)
+				full := dst[:cap(dst)]
+				for i := range full {
+					full[i] = math.NaN()
+				}
+				dst = m.MulVecTo(dst, v)
+				return len(dst) == rows && &dst[:1][0] == backing &&
+					sameBits(dst, refMulVecTo(m, nil, v))
+			}
+			cfg := kernelConfig(int64(rows*14+cols), 20)
+			cfg.Values = func(args []reflect.Value, r *rand.Rand) {
+				args[0] = reflect.ValueOf(mulVecEntries(r, rows*cols))
+				args[1] = reflect.ValueOf(mulVecEntries(r, cols))
+			}
+			if err := quick.Check(f, cfg); err != nil {
+				t.Fatalf("%d×%d: %v", rows, cols, err)
+			}
+		}
 	}
 }

@@ -41,11 +41,11 @@ func QRDecompose(a *Matrix) *QR {
 			for j := k + 1; j < n; j++ {
 				var s float64
 				for i := k; i < m; i++ {
-					s += d[i*n+k] * d[i*n+j]
+					s += float64(d[i*n+k] * d[i*n+j])
 				}
 				s = -s / d[k*n+k]
 				for i := k; i < m; i++ {
-					d[i*n+j] += s * d[i*n+k]
+					d[i*n+j] += float64(s * d[i*n+k])
 				}
 			}
 		}
@@ -103,11 +103,11 @@ func (f *QR) SolveLS(b *Matrix) (*Matrix, error) {
 		for j := 0; j < xc; j++ {
 			var s float64
 			for i := k; i < f.m; i++ {
-				s += qd[i*n+k] * xd[i*xc+j]
+				s += float64(qd[i*n+k] * xd[i*xc+j])
 			}
 			s = -s / head
 			for i := k; i < f.m; i++ {
-				xd[i*xc+j] += s * qd[i*n+k]
+				xd[i*xc+j] += float64(s * qd[i*n+k])
 			}
 		}
 	}
@@ -126,7 +126,7 @@ func (f *QR) SolveLS(b *Matrix) (*Matrix, error) {
 			}
 			rowI := od[i*xc : (i+1)*xc]
 			for j, v := range rowK {
-				rowI[j] -= rik * v
+				rowI[j] -= float64(rik * v)
 			}
 		}
 	}
@@ -145,7 +145,7 @@ func LeastSquares(a, b *Matrix) (*Matrix, error) {
 	// Ridge fallback: (A^T A + λI) x = A^T b.
 	at := a.T()
 	ata := at.Mul(a)
-	lambda := 1e-8 * (1 + ata.MaxAbs())
+	lambda := float64(1e-8 * (1 + ata.MaxAbs()))
 	for i := 0; i < ata.rows; i++ {
 		ata.Set(i, i, ata.At(i, i)+lambda)
 	}

@@ -32,9 +32,9 @@ func SingularValues(a *Matrix) []float64 {
 				for i := 0; i < m; i++ {
 					up := u.At(i, p)
 					uq := u.At(i, q)
-					alpha += up * up
-					beta += uq * uq
-					gamma += up * uq
+					alpha += float64(up * up)
+					beta += float64(uq * uq)
+					gamma += float64(up * uq)
 				}
 				if gamma == 0 {
 					continue
@@ -46,14 +46,14 @@ func SingularValues(a *Matrix) []float64 {
 				}
 				// Jacobi rotation that zeroes the (p,q) inner product.
 				zeta := (beta - alpha) / (2 * gamma)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+float64(zeta*zeta)))
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := c * t
 				for i := 0; i < m; i++ {
 					up := u.At(i, p)
 					uq := u.At(i, q)
-					u.Set(i, p, c*up-s*uq)
-					u.Set(i, q, s*up+c*uq)
+					u.Set(i, p, float64(c*up)-float64(s*uq))
+					u.Set(i, q, float64(s*up)+float64(c*uq))
 				}
 			}
 		}
@@ -66,7 +66,7 @@ func SingularValues(a *Matrix) []float64 {
 		var s float64
 		for i := 0; i < m; i++ {
 			v := u.At(i, j)
-			s += v * v
+			s += float64(v * v)
 		}
 		sv[j] = math.Sqrt(s)
 	}

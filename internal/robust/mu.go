@@ -114,7 +114,7 @@ func (s *muDescent) scaled(d []float64, stop float64) float64 {
 	n := len(d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			s.dm.Set(i, j, cmul(s.m.At(i, j), complex(d[i]/d[j], 0)))
+			s.dm.Set(i, j, mat.CMul(s.m.At(i, j), complex(d[i]/d[j], 0)))
 		}
 	}
 	return s.ws.MaxSingularValue(s.dm, stop)

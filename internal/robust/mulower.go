@@ -62,15 +62,15 @@ func MuLowerBound(m *mat.CMatrix) float64 {
 				break
 			}
 			for i := range next {
-				ph := cmplx.Conj(cmul(phase(a[i]), cmplx.Conj(phase(b[i]))))
-				next[i] = cmul(a[i], ph)
+				ph := cmplx.Conj(mat.CMul(phase(a[i]), cmplx.Conj(phase(b[i]))))
+				next[i] = mat.CMul(a[i], ph)
 			}
 			normalizeVec(next)
 			// Certify this iterate: U aligns M's output phases back onto b.
 			for i := 0; i < n; i++ {
-				u := cmul(phase(b[i]), cmplx.Conj(phase(a[i])))
+				u := mat.CMul(phase(b[i]), cmplx.Conj(phase(a[i])))
 				for j := 0; j < n; j++ {
-					um[i*n+j] = cmul(u, md[i*n+j])
+					um[i*n+j] = mat.CMul(u, md[i*n+j])
 				}
 			}
 			if rho := ws.spectralRadius(um); rho > best {
@@ -176,14 +176,6 @@ func peakLower(gs []*mat.CMatrix, caps []float64) (lo float64, lowers int) {
 	return lo, int(ran.Load())
 }
 
-// cmul returns x·y as Go's complex multiplication computes it on amd64,
-// (xr·yr − xi·yi) + (xr·yi + xi·yr)i, with each product rounded on its own
-// so that no architecture fuses it into a multiply-add.
-func cmul(x, y complex128) complex128 {
-	xr, xi, yr, yi := real(x), imag(x), real(y), imag(y)
-	return complex(float64(xr*yr)-float64(xi*yi), float64(xr*yi)+float64(xi*yr))
-}
-
 func phase(v complex128) complex128 {
 	a := cmplx.Abs(v)
 	if a == 0 {
@@ -198,7 +190,7 @@ func mulVec(out, md, v []complex128) {
 	for i := range out {
 		var s complex128
 		for j, x := range v {
-			s += cmul(md[i*n+j], x)
+			s += mat.CMul(md[i*n+j], x)
 		}
 		out[i] = s
 	}

@@ -82,14 +82,14 @@ func worstCaseGainAt(g *mat.CMatrix, nd int, delta float64) float64 {
 			for j := 0; j < cols; j++ {
 				v := g.At(i, j)
 				if i < nd {
-					v = cmul(v, complex(math.Sqrt(delta), 0))
+					v = mat.CMul(v, complex(math.Sqrt(delta), 0))
 				} else {
-					v = cmul(v, complex(1/math.Sqrt(gamma), 0))
+					v = mat.CMul(v, complex(1/math.Sqrt(gamma), 0))
 				}
 				if j < nd {
-					v = cmul(v, complex(math.Sqrt(delta), 0))
+					v = mat.CMul(v, complex(math.Sqrt(delta), 0))
 				} else {
-					v = cmul(v, complex(1/math.Sqrt(gamma), 0))
+					v = mat.CMul(v, complex(1/math.Sqrt(gamma), 0))
 				}
 				m.Set(i, j, v)
 			}
