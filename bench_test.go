@@ -218,31 +218,6 @@ func BenchmarkFig17InputWeights(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetStep measures one fleet run of the done-heavy scaling
-// scenario (64 boards, half finishing early) per engine. The lockstep
-// sub-benchmark pays a worker-pool barrier every control interval; the event
-// sub-benchmark pays one per reallocation epoch and drops finished boards
-// off the clock. Both produce identical simulation results — the CI smoke
-// job runs this at -benchtime 1x to catch engine wall-clock regressions,
-// alongside the N∈{64,256} scaling-curve guard (yukta-bench -fleetscale).
-func BenchmarkFleetStep(b *testing.B) {
-	c := benchContext(b)
-	for _, engine := range []string{"lockstep", "event"} {
-		b.Run(engine, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := c.FleetScaleRun(64, engine)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Steps == 0 {
-					b.Fatal("fleet run executed no steps")
-				}
-				b.ReportMetric(float64(res.Steps), "clockSteps")
-			}
-		})
-	}
-}
-
 // BenchmarkControllerStep measures one invocation of the hardware SSV
 // controller's state machine — the §VI-D cost (the paper measures ≈28 µs on
 // a Cortex-A7 and envisions a few-mW hardware state machine).

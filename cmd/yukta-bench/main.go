@@ -18,8 +18,6 @@
 //	yukta-bench -fleet 8 -faults -trace traces/ # fleet sweep across fault classes, with traces
 //	yukta-bench -fleet 4 -fleetpolicy feedback -fleetbudget 2.0
 //	yukta-bench -fleet 16 -fleet-topo 4x4     # hierarchical: 4 racks of 4 boards
-//	yukta-bench -fleetscale 64,256 -scaledepths 1,2 -benchout BENCH_evloop.json
-//	yukta-bench -fleet-topo 32x32 -topoguard BENCH_evloop.json # hierarchy regression gate
 //	yukta-bench -tracecheck traces/ # validate recorded JSONL against the schema
 package main
 
@@ -30,10 +28,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
-	"yukta/internal/core"
 	"yukta/internal/exp"
 	"yukta/internal/obs"
 )
@@ -60,20 +56,9 @@ func main() {
 		fleetN    = flag.Int("fleet", 0, "run the fleet sweep with this many boards under a shared power budget (0 = off); with -faults the sweep also covers the fault classes")
 		fleetPol  = flag.String("fleetpolicy", "all", "fleet budget policy: equal, feedback or all")
 		fleetBW   = flag.Float64("fleetbudget", exp.DefaultFleetBoardBudgetW, "per-board share of the shared fleet power budget, in watts")
-		engine    = flag.String("engine", "", "simulation engine: event (default) or lockstep; both are byte-identical in results and traces")
-		fleetScl  = flag.String("fleetscale", "", "run the engine scaling-curve benchmark over these comma-separated fleet sizes (e.g. 64,256)")
-		benchOut  = flag.String("benchout", "", "write the scaling-curve benchmark report as JSON to this file")
-		sclGuard  = flag.Bool("scaleguard", false, "fail unless the event engine beats lockstep at the largest -fleetscale size (regression gate)")
-		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps and -topoguard (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = one coordinator over all boards")
-		sclDepths = flag.String("scaledepths", "", "with -fleetscale, also measure balanced coordinator trees at these comma-separated depths (e.g. 1,2,3)")
-		topoGuard = flag.String("topoguard", "", "committed scaling report JSON (BENCH_evloop.json): re-run the -fleet-topo scenario and fail if it diverges from the committed tree point")
+		fleetTopo = flag.String("fleet-topo", "", "coordinator topology for -fleet sweeps (fleet.ParseTopology grammar, e.g. 32x32 or root=a,b;a=4;b=4); empty = one coordinator over all boards")
 	)
 	flag.Parse()
-
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *traceChk != "" {
 		if err := checkTraces(*traceChk); err != nil {
@@ -134,7 +119,7 @@ func main() {
 		}
 		return
 	}
-	if *fig == "" && !*all && !*faults && *fleetN == 0 && *fleetScl == "" && *topoGuard == "" {
+	if *fig == "" && !*all && !*faults && *fleetN == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -153,7 +138,6 @@ func main() {
 		Metrics:      *metrics,
 		FleetBudgetW: *fleetBW,
 		FleetTopo:    *fleetTopo,
-		Engine:       eng,
 	})
 	if err != nil {
 		fatal(err)
@@ -161,64 +145,6 @@ func main() {
 	if ctx.Metrics != nil {
 		ctx.Metrics.Publish("yukta")
 		defer func() { fmt.Fprint(os.Stderr, ctx.Metrics.Render()) }()
-	}
-
-	if *topoGuard != "" {
-		if *fleetTopo == "" {
-			fatal(fmt.Errorf("-topoguard needs -fleet-topo to name the topology to re-run"))
-		}
-		committed, err := exp.ReadFleetScaleReport(*topoGuard)
-		if err != nil {
-			fatal(err)
-		}
-		if err := ctx.TreeGuard(*fleetTopo, committed); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "topology guard OK: %s matches the committed tree point\n", *fleetTopo)
-		return
-	}
-
-	if *fleetScl != "" {
-		ns, err := parseSizes(*fleetScl, "-fleetscale")
-		if err != nil {
-			fatal(err)
-		}
-		var rep *exp.FleetScaleReport
-		if *sclDepths != "" {
-			depths, derr := parseSizes(*sclDepths, "-scaledepths")
-			if derr != nil {
-				fatal(derr)
-			}
-			rep, err = ctx.FleetScaleTree(ns, depths)
-		} else {
-			rep, err = ctx.FleetScale(ns)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep.Render())
-		if *benchOut != "" {
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				fatal(err)
-			}
-			werr := rep.WriteJSON(f)
-			cerr := f.Close()
-			if werr != nil {
-				fatal(werr)
-			}
-			if cerr != nil {
-				fatal(cerr)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchOut)
-		}
-		if *sclGuard {
-			if err := rep.Check(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintln(os.Stderr, "scale guard OK: event engine beats lockstep at the largest size")
-		}
-		return
 	}
 
 	if *fleetN > 0 {
@@ -433,27 +359,6 @@ func checkTraces(dir string) error {
 		fmt.Printf("%s: %d records OK\n", path, n)
 	}
 	return nil
-}
-
-// parseSizes parses a comma-separated list of positive integers for the
-// named flag (-fleetscale sizes, -scaledepths depths).
-func parseSizes(s, flagName string) ([]int, error) {
-	var ns []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid value %q in %s", part, flagName)
-		}
-		ns = append(ns, n)
-	}
-	if len(ns) == 0 {
-		return nil, fmt.Errorf("%s needs at least one value", flagName)
-	}
-	return ns, nil
 }
 
 func fatal(err error) {

@@ -197,7 +197,6 @@ func TestCrashRecoveryChaos(t *testing.T) {
 		MaxTime:    30 * time.Second,
 		SkipSeries: true,
 		Trace:      refRec,
-		Engine:     core.EngineEvent,
 		Faults:     fault.PresetClass(7, 1.0, "all"),
 	}); err != nil {
 		t.Fatal(err)

@@ -59,17 +59,11 @@ func main() {
 		faults    = flag.Float64("faults", 0, "fault-campaign intensity (0 = clean; 1 = harness's harshest default)")
 		faultSeed = flag.Int64("faultseed", 1, "base seed of the injected fault campaign")
 		record    = flag.String("record", "", "write the flight-recorder decision log to this JSONL path and print its timeline")
-		engine    = flag.String("engine", "", "simulation engine: event (default) or lockstep; both are byte-identical in results and traces")
 		via       = flag.String("via", "", "base URL of a running yukta-serve daemon; runs the session there instead of in-process")
 		watch     = flag.Bool("watch", false, "with -via: stream the hosted session's live event feed and render each interval as it executes")
 		list      = flag.Bool("list", false, "list workloads and schemes")
 	)
 	flag.Parse()
-
-	eng, err := yukta.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *list {
 		fmt.Println("workloads:", yukta.EvaluationApps())
@@ -83,7 +77,7 @@ func main() {
 		if *trace || *noise > 0 {
 			fatal(fmt.Errorf("-trace and -noise are local-only; the hosted path runs scalar sessions"))
 		}
-		if err := runVia(*via, *scheme, *app, *engine, *maxTime, *faults, *faultSeed, *record, *watch); err != nil {
+		if err := runVia(*via, *scheme, *app, *maxTime, *faults, *faultSeed, *record, *watch); err != nil {
 			fatal(err)
 		}
 		return
@@ -110,7 +104,7 @@ func main() {
 		cfg.SensorNoiseStd = *noise
 		cfg.SensorNoiseSeed = 1
 	}
-	opt := yukta.RunOptions{MaxTime: *maxTime, Engine: eng}
+	opt := yukta.RunOptions{MaxTime: *maxTime}
 	if *faults > 0 {
 		opt.Faults = yukta.FaultPreset(*faultSeed, *faults)
 	}
@@ -157,7 +151,7 @@ func main() {
 // determinism gate), so -record output is interchangeable between paths.
 // Steps ride the hardened client's idempotent retry loop, which also makes
 // the drive survive a daemon crash-and-recover in the middle of the run.
-func runVia(base, scheme, app, engine string, maxTime time.Duration, faults float64, faultSeed int64, record string, watch bool) error {
+func runVia(base, scheme, app string, maxTime time.Duration, faults float64, faultSeed int64, record string, watch bool) error {
 	c := client.New(client.Config{
 		Base:       base,
 		JitterSeed: time.Now().UnixNano(),
@@ -169,7 +163,6 @@ func runVia(base, scheme, app, engine string, maxTime time.Duration, faults floa
 		Scheme:   scheme,
 		App:      app,
 		MaxTimeS: maxTime.Seconds(),
-		Engine:   engine,
 	}
 	if faults > 0 {
 		// The local path's -faults intensity is the full campaign: class

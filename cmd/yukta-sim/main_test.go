@@ -81,7 +81,7 @@ func TestRunViaSurvivesDaemonCrash(t *testing.T) {
 	defer front.Close()
 
 	record := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := runVia(front.URL, "coordinated", "gamess", "", 30*time.Second, 1.0, 7, record, false); err != nil {
+	if err := runVia(front.URL, "coordinated", "gamess", 30*time.Second, 1.0, 7, record, false); err != nil {
 		t.Fatalf("runVia across the crash: %v", err)
 	}
 
@@ -95,7 +95,6 @@ func TestRunViaSurvivesDaemonCrash(t *testing.T) {
 		MaxTime:    30 * time.Second,
 		SkipSeries: true,
 		Trace:      rec,
-		Engine:     core.EngineEvent,
 		Faults:     fault.PresetClass(7, 1.0, "all"),
 	}); err != nil {
 		t.Fatal(err)

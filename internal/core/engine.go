@@ -10,54 +10,24 @@ import (
 	"yukta/internal/workload"
 )
 
-// Engine selects the simulation core that advances a fleet run through
-// time. A solo run has one board and no interaction points, so both names
-// select the same single loop there; the name is still validated.
-//
-// Both engines execute the identical per-interval body (boardRun.step) and
-// are byte-identical in every observable output (results, per-board traces,
-// fleet traces) at any parallelism; they differ only in how the clock finds
-// the next board to step. The golden-trace suite and TestEngineEquivalence
-// pin the equivalence.
+// Engine names a fleet simulation core. There is one: the discrete-event
+// engine, EngineEvent. The type and its constant remain only so that
+// FleetOptions.Engine keeps compiling for existing callers.
 type Engine string
 
-const (
-	// EngineEvent is the shared-clock discrete-event engine (the default).
-	// Board wakes, budget reallocations and trace flushes are timed events
-	// on a deterministic heap (internal/sched): a finished board falls out
-	// of the clock entirely, and a live board batches every control
-	// interval up to its next interaction point — the reallocation barrier
-	// where its power cap can change — into a single wake, eliminating the
-	// per-interval pool barrier and the per-interval scan over all boards.
-	EngineEvent Engine = "event"
-	// EngineLockstep is the reference engine: every board is visited on
-	// every control interval under a per-interval pool barrier. It is kept
-	// as the executable specification the event engine is tested against.
-	EngineLockstep Engine = "lockstep"
-)
+// EngineEvent is the shared-clock discrete-event engine (runEvent). Board
+// wakes and budget reallocations are timed events on a deterministic heap
+// (internal/sched): a finished board falls out of the clock entirely, and a
+// live board batches every control interval up to its next interaction
+// point — the reallocation barrier where its power cap can change — into a
+// single wake.
+const EngineEvent Engine = "event"
 
-// resolve maps the zero value to the default engine and rejects unknown
-// names.
-func (e Engine) resolve() (Engine, error) {
-	switch e {
-	case "", EngineEvent:
-		return EngineEvent, nil
-	case EngineLockstep:
-		return EngineLockstep, nil
-	}
-	return "", fmt.Errorf("core: unknown engine %q (want %q or %q)", e, EngineEvent, EngineLockstep)
-}
-
-// ParseEngine validates an -engine flag value ("", "event" or "lockstep")
-// and returns the Engine it selects.
-func ParseEngine(s string) (Engine, error) { return Engine(s).resolve() }
-
-// Event kinds of the simulation engines, in execution order within one
-// instant: coordinator work (budget reallocation) strictly precedes the
-// board wakes it influences, and board wakes at the same instant order by
-// board index. This ordering is what makes the event engine a drop-in
-// replacement for the lockstep loop's "reallocate, then step every board"
-// interval structure.
+// Event kinds of the event engine, in execution order within one instant:
+// coordinator work (budget reallocation) strictly precedes the board wakes it
+// influences, and board wakes at the same instant order by board index. This
+// ordering reproduces the interval structure "reallocate, then step every
+// board" of the lockstep oracle the engine is tested against.
 const (
 	evRealloc int8 = iota
 	evWake

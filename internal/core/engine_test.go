@@ -6,14 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"yukta/internal/board"
 	"yukta/internal/fault"
 	"yukta/internal/fleet"
 	"yukta/internal/obs"
 	"yukta/internal/workload"
 )
 
-// equivSchemes is the scheme set the cross-engine property test sweeps — the
-// same five families the golden suite pins.
+// equivSchemes is the scheme set the engine-versus-oracle property test
+// sweeps — the same five families the golden suite pins.
 func equivSchemes(p *Platform) []Scheme {
 	hp, op := DefaultHWParams(), DefaultOSParams()
 	return []Scheme{
@@ -30,10 +31,10 @@ func equivClasses() []string {
 	return append([]string{"clean"}, fault.ClassNames()...)
 }
 
-// soloFingerprint executes one solo run on the given engine and returns its
-// full observable output: the per-interval JSONL trace followed by every
-// scalar of the result.
-func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng Engine) []byte {
+// soloFingerprint executes one solo run and returns its full observable
+// output: the per-interval JSONL trace followed by every scalar of the
+// result.
+func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string) []byte {
 	t.Helper()
 	w, err := workload.Lookup("gamess")
 	if err != nil {
@@ -44,7 +45,6 @@ func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng En
 		MaxTime:    20 * time.Second,
 		SkipSeries: true,
 		Trace:      rec,
-		Engine:     eng,
 	}
 	if class != "clean" {
 		opt.Faults = fault.PresetClass(7, 1.0, class)
@@ -65,20 +65,48 @@ func soloFingerprint(t *testing.T, p *Platform, sch Scheme, class string, eng En
 	return buf.Bytes()
 }
 
-// fleetFingerprint executes one n-board fleet run under the given topology
-// (nil: the one-level tree) on the given engine and returns the fleet JSONL
-// trace, every per-board JSONL trace, and every scalar of the result.
-func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int,
-	topo *fleet.Topology, eng Engine) []byte {
+// fleetRunner is FleetRun or its lockstep oracle, refFleetRun.
+type fleetRunner func(board.Config, []FleetMember, FleetOptions) (*FleetResult, error)
+
+// equivMembers builds the fleet the engine-versus-oracle tests run. Even
+// boards run the quick mix and last until MaxTime; odd boards, and every
+// board when allFinish is set, run a short synthetic workload sized by board
+// index, so boards finish at staggered intervals, mostly inside an epoch.
+// That exercises the completion path: the finishing interval recorded as
+// done, done boards leaving the clock and their caps zeroed, and, with
+// allFinish, the run ending before MaxTime with slower coordinators' events
+// still pending.
+func equivMembers(t *testing.T, p *Platform, n int, sch Scheme, allFinish bool) []FleetMember {
 	t.Helper()
 	members := fleetTestMembers(t, p, n, sch)
+	for i := range members {
+		if !allFinish && i%2 == 0 {
+			continue
+		}
+		w, err := workload.NewApp("short", float64(12+9*(i%5)), []workload.Phase{
+			{WorkFrac: 1, Threads: 8, MemBound: 0.25, IPCBig: 1.4, IPCLittle: 0.7},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i].Workload = w
+	}
+	return members
+}
+
+// fleetFingerprint executes one n-board fleet run of equivMembers under the
+// given topology (nil: the one-level tree) with run and returns the fleet
+// JSONL trace, every per-board JSONL trace, and every scalar of the result.
+func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int,
+	topo *fleet.Topology, allFinish bool, run fleetRunner) []byte {
+	t.Helper()
+	members := equivMembers(t, p, n, sch, allFinish)
 	opt := FleetOptions{
 		Budget:      fleet.Budget{TotalW: 2.2 * float64(n), MinW: 1.0, MaxW: 4.5},
 		Topology:    topo,
 		TreePolicy:  testTreePolicy("feedback"),
 		MaxTime:     30 * time.Second,
 		Parallelism: 4,
-		Engine:      eng,
 	}
 	if class != "clean" {
 		opt.Faults = fault.PresetClass(7, 1.0, class)
@@ -89,7 +117,7 @@ func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int
 		boardRecs[i] = obs.NewRecorder(0)
 	}
 	opt.BoardTraces = boardRecs
-	res, err := FleetRun(p.Cfg, members, opt)
+	res, err := run(p.Cfg, members, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +153,13 @@ func fleetFingerprint(t *testing.T, p *Platform, sch Scheme, class string, n int
 }
 
 // diffFingerprints reports the first diverging byte with context.
-func diffFingerprints(t *testing.T, name string, lock, ev []byte) {
+func diffFingerprints(t *testing.T, name string, want, got []byte) {
 	t.Helper()
-	if bytes.Equal(lock, ev) {
+	if bytes.Equal(want, got) {
 		return
 	}
 	i := 0
-	for i < len(lock) && i < len(ev) && lock[i] == ev[i] {
+	for i < len(want) && i < len(got) && want[i] == got[i] {
 		i++
 	}
 	lo := i - 60
@@ -148,15 +176,17 @@ func diffFingerprints(t *testing.T, name string, lock, ev []byte) {
 		}
 		return b[lo:hi]
 	}
-	t.Fatalf("%s: engines diverge at byte %d:\nlockstep: %q\nevent:    %q", name, i, clip(lock), clip(ev))
+	t.Fatalf("%s: outputs diverge at byte %d:\nwant: %q\ngot:  %q", name, i, clip(want), clip(got))
 }
 
-// TestEngineEquivalence is the cross-engine property test: for every scheme ×
-// fault class (clean plus every isolated class) × topology (solo, fleet
-// N∈{1,4,16}), the lockstep and event engines must produce byte-identical
-// observable output — every JSONL trace record and every result scalar. CI
-// runs it under -race, so it also exercises the event engine's batch
-// parallelism for races.
+// TestEngineEquivalence is the engine-versus-oracle property test: for every
+// scheme × fault class (clean plus every isolated class) × fleet size
+// N∈{1,4,16} on the one-level tree, FleetRun (the event engine) and
+// refFleetRun (the lockstep oracle) must produce byte-identical observable
+// output — every JSONL trace record and every result scalar. The one-board
+// fleet finishes before MaxTime; larger fleets mix finishing and running
+// boards (equivMembers). CI runs it under -race, so it also exercises the
+// event engine's batch parallelism for races.
 func TestEngineEquivalence(t *testing.T) {
 	p := testPlatform(t)
 	fleetNs := []int{1, 4, 16}
@@ -164,12 +194,6 @@ func TestEngineEquivalence(t *testing.T) {
 		for ci, class := range equivClasses() {
 			t.Run(sch.Name+"/"+class, func(t *testing.T) {
 				t.Parallel()
-				lock := soloFingerprint(t, p, sch, class, EngineLockstep)
-				ev := soloFingerprint(t, p, sch, class, EngineEvent)
-				if len(lock) == 0 {
-					t.Fatal("empty solo fingerprint")
-				}
-				diffFingerprints(t, "solo", lock, ev)
 				ns := fleetNs
 				if testing.Short() {
 					// Rotate one fleet size per cell in -short mode; the
@@ -177,31 +201,14 @@ func TestEngineEquivalence(t *testing.T) {
 					ns = fleetNs[ci%3 : ci%3+1]
 				}
 				for _, n := range ns {
-					lock := fleetFingerprint(t, p, sch, class, n, nil, EngineLockstep)
-					ev := fleetFingerprint(t, p, sch, class, n, nil, EngineEvent)
-					if len(lock) == 0 {
+					want := fleetFingerprint(t, p, sch, class, n, nil, n == 1, refFleetRun)
+					got := fleetFingerprint(t, p, sch, class, n, nil, n == 1, FleetRun)
+					if len(want) == 0 {
 						t.Fatalf("empty fleet fingerprint at N=%d", n)
 					}
-					diffFingerprints(t, fmt.Sprintf("fleet N=%d", n), lock, ev)
+					diffFingerprints(t, fmt.Sprintf("fleet N=%d", n), want, got)
 				}
 			})
 		}
-	}
-}
-
-// TestParseEngine pins the -engine flag surface: the zero value selects the
-// event engine, both names round-trip, junk is rejected.
-func TestParseEngine(t *testing.T) {
-	if eng, err := ParseEngine(""); err != nil || eng != EngineEvent {
-		t.Fatalf("ParseEngine(\"\") = %v, %v", eng, err)
-	}
-	if eng, err := ParseEngine("event"); err != nil || eng != EngineEvent {
-		t.Fatalf("ParseEngine(event) = %v, %v", eng, err)
-	}
-	if eng, err := ParseEngine("lockstep"); err != nil || eng != EngineLockstep {
-		t.Fatalf("ParseEngine(lockstep) = %v, %v", eng, err)
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
 	}
 }

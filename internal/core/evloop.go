@@ -21,12 +21,15 @@ import (
 // per-interval scan over all n boards are gone. A finished board schedules
 // nothing and falls out of the clock entirely.
 //
-// Byte-identity with runLockstep holds because nothing observable moves:
+// The engine is byte-identical to the lockstep loop (every board visited on
+// every interval under a per-interval pool barrier), which lockstep_test.go
+// keeps as its test oracle, because nothing observable moves:
 // boardRun.step is the shared interval body (fault RNG, physics, controller,
 // per-board trace), reallocTree is the shared coordinator body and fires at
 // the same instants with boards in the same states, and the fleet trace is
 // reconstructed per interval from samples latched during the batches (see
-// flushEpoch). The golden suite and TestEngineEquivalence pin this.
+// flushEpoch). The golden suite, TestEngineEquivalence and
+// TestTreeEngineEquivalence pin this.
 func (f *fleetRun) runEvent() error {
 	if f.maxSteps <= 0 {
 		return nil
@@ -153,7 +156,7 @@ func (f *fleetRun) runBatch(fb *fleetBoard, start, barrier int) {
 // flushEpoch reconstructs the per-interval fleet-trace records for the epoch
 // that started at t, from the samples the boards latched while running
 // ahead of the coordinator. The records are byte-identical to the ones the
-// lockstep engine writes inline:
+// lockstep oracle writes inline:
 //
 //   - caps are constant within an epoch (they change only at realloc), so
 //     AllocW and the cap min/max need no latching;
@@ -167,7 +170,7 @@ func (f *fleetRun) runBatch(fb *fleetBoard, start, barrier int) {
 func (f *fleetRun) flushEpoch(t, epochSteps int, reallocFired bool) {
 	for j := 0; j < epochSteps; j++ {
 		// One record per tree node, preorder (root first, node path ""),
-		// exactly as the lockstep engine's traceStep writes them. Budgets
+		// exactly as the lockstep oracle's traceStep writes them. Budgets
 		// and caps changed only at the epoch start, so reading them at the
 		// flush sees the same values every interval of the epoch saw.
 		for i := range f.tree.Nodes {

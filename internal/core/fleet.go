@@ -10,7 +10,6 @@ import (
 	"yukta/internal/fault"
 	"yukta/internal/fleet"
 	"yukta/internal/obs"
-	"yukta/internal/pool"
 	"yukta/internal/workload"
 )
 
@@ -64,8 +63,8 @@ type FleetOptions struct {
 	// pairing, and every other board draws an independent stream.
 	Faults fault.Plan
 	// Parallelism is the worker count for board stepping (the worker pool,
-	// fanned out over each epoch's board batches, or over each interval's
-	// boards on the lockstep engine). 0 or 1 steps boards sequentially.
+	// fanned out over each epoch's board batches). 0 or 1 steps boards
+	// sequentially.
 	// Results and traces are byte-identical at any setting.
 	Parallelism int
 	// Trace, when non-nil, receives one obs.FleetRecord per control
@@ -78,9 +77,10 @@ type FleetOptions struct {
 	// Metrics, when non-nil, aggregates the run into the registry (pool
 	// occupancy, per-scheme step latency, run/fault counters).
 	Metrics *obs.Registry
-	// Engine selects the simulation core ("" = EngineEvent). Results, the
-	// fleet trace and every per-board trace are byte-identical across
-	// engines; EngineLockstep remains the executable reference.
+	// Engine names the simulation core.
+	//
+	// Deprecated: there is one engine. FleetRun accepts "" or EngineEvent
+	// and rejects any other value.
 	Engine Engine
 }
 
@@ -182,9 +182,25 @@ type fleetSample struct {
 // write only their own index, and the policies run on the coordination
 // goroutine between stepping barriers.
 func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*FleetResult, error) {
+	f, err := newFleetRun(cfg, members, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.runEvent(); err != nil {
+		return nil, err
+	}
+	return f.finalize(members), nil
+}
+
+// newFleetRun validates the options, applies their defaults, and builds the
+// coordinator tree and every member's board.
+func newFleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*fleetRun, error) {
 	n := len(members)
 	if n == 0 {
 		return nil, fmt.Errorf("core: fleet run needs at least one member")
+	}
+	if opt.Engine != "" && opt.Engine != EngineEvent {
+		return nil, fmt.Errorf("core: unknown engine %q (the only engine is %q)", opt.Engine, EngineEvent)
 	}
 	if opt.Topology == nil {
 		topo, err := fleet.Uniform(n, 1)
@@ -207,10 +223,6 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 	}
 	if opt.BoardTraces != nil && len(opt.BoardTraces) != n {
 		return nil, fmt.Errorf("core: BoardTraces has %d entries for %d members", len(opt.BoardTraces), n)
-	}
-	eng, err := opt.Engine.resolve()
-	if err != nil {
-		return nil, err
 	}
 	tree, err := fleet.NewTree(opt.Topology, opt.Budget, opt.ReallocEvery, opt.CadenceFactor, opt.TreePolicy)
 	if err != nil {
@@ -253,21 +265,12 @@ func FleetRun(cfg board.Config, members []FleetMember, opt FleetOptions) (*Fleet
 		}
 		f.boards[i] = &fleetBoard{boardRun: br, idx: i}
 	}
-
-	if eng == EngineLockstep {
-		err = f.runLockstep()
-	} else {
-		err = f.runEvent()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f.finalize(members), nil
+	return f, nil
 }
 
-// fleetRun is the state of one fleet simulation, shared by both engines.
-// The coordination goroutine owns everything except the per-board state a
-// pool worker touches while stepping its own board.
+// fleetRun is the state of one fleet simulation. The coordination goroutine
+// owns everything except the per-board state a pool worker touches while
+// stepping its own board.
 type fleetRun struct {
 	cfg    board.Config
 	opt    *FleetOptions
@@ -287,58 +290,15 @@ type fleetRun struct {
 	workers   int
 	epochLen  int
 
-	// live counts boards whose workload has not completed. It replaces the
-	// lockstep engine's former O(n)-per-step allDone scan: workers decrement
-	// it when their board finishes, and both engines terminate on zero.
+	// live counts boards whose workload has not completed: workers
+	// decrement it when their board finishes, and the run ends on zero.
 	live atomic.Int64
-}
-
-// runLockstep is the reference engine: reallocate every epochLen intervals,
-// then step every board under a per-interval pool barrier.
-func (f *fleetRun) runLockstep() error {
-	for step := 0; step < f.maxSteps && f.live.Load() > 0; step++ {
-		realloc := f.reallocAt(step)
-		err := pool.ForEachMetered(f.workers, f.n, f.opt.Metrics, func(i int) error {
-			fb := f.boards[i]
-			if fb.done {
-				return nil
-			}
-			fb.step(step)
-			if fb.w.Done() {
-				fb.done = true
-				f.live.Add(-1)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		f.res.Steps++
-		if f.opt.Trace != nil {
-			f.traceStep(step, realloc)
-		}
-	}
-	return nil
-}
-
-// reallocAt fires the tree nodes due at the given step on their own
-// cadences and reports whether any fired. Every leaf coordinator runs on the
-// epoch cadence, so reallocation instants fall every epochLen steps; only the
-// set of higher nodes firing varies.
-func (f *fleetRun) reallocAt(step int) bool {
-	f.due = f.tree.Due(step, f.due[:0])
-	if len(f.due) == 0 {
-		return false
-	}
-	f.reallocTree()
-	return true
 }
 
 // reallocTree refreshes the per-board telemetry, lets the due tree nodes
 // (already in f.due, preorder) re-divide their budgets top-down, then
 // actuates the resulting caps. It runs on the coordination goroutine only,
-// between barriers, in both engines, so the policies never race board
-// stepping. caps[i] is read for telemetry before the policies run and a
+// between barriers, so the policies never race board stepping. caps[i] is read for telemetry before the policies run and a
 // finished board's cap is zeroed only after (actuate), so the first
 // reallocation after a board finishes observes its final cap.
 func (f *fleetRun) reallocTree() {
@@ -349,19 +309,6 @@ func (f *fleetRun) reallocTree() {
 	f.actuate()
 	f.res.Reallocations++
 	f.res.NodeReallocations += len(f.due)
-}
-
-// traceStep writes the interval's fleet-trace records: one per tree node in
-// preorder, the root first. The root record spans all boards with the full
-// budget and an empty node path.
-func (f *fleetRun) traceStep(step int, realloc bool) {
-	timeS := float64(step+1) * f.intervalS
-	for i := range f.tree.Nodes {
-		nd := &f.tree.Nodes[i]
-		f.opt.Trace.Add(fleetRecordRange(step, timeS, nd.BudgetW,
-			f.caps, f.boards, nd.First, nd.Boards,
-			realloc && f.tree.NodeRealloc(i, step), f.cfg.BasePowerW, nd.Path))
-	}
 }
 
 // actuate writes the freshly allocated caps to the boards. A finished
@@ -435,49 +382,4 @@ func fleetTelemetry(fb *fleetBoard, capW, baseW float64) fleet.Telemetry {
 		Throttled: fb.b.BudgetThrottled(),
 		Done:      fb.done,
 	}
-}
-
-// fleetRecordRange aggregates one interval over one node's board range
-// [first, first+count) into a fleet trace record — the whole fleet for the
-// flat record (node ""), a subtree for a per-node record.
-func fleetRecordRange(step int, timeS float64, budgetW float64, caps []float64,
-	boards []*fleetBoard, first, count int, realloc bool, baseW float64,
-	node string) obs.FleetRecord {
-
-	rec := obs.FleetRecord{
-		Step:    step,
-		TimeS:   timeS,
-		BudgetW: budgetW,
-		Realloc: realloc,
-		Node:    node,
-	}
-	for i := first; i < first+count; i++ {
-		fb := boards[i]
-		rec.AllocW += caps[i]
-		if fb.done {
-			rec.Done++
-			continue
-		}
-		rec.Live++
-		if caps[i] > 0 {
-			if rec.CapMinW == 0 || caps[i] < rec.CapMinW {
-				rec.CapMinW = caps[i]
-			}
-			if caps[i] > rec.CapMaxW {
-				rec.CapMaxW = caps[i]
-			}
-		}
-		if fb.b.BudgetThrottled() {
-			rec.Throttled++
-		}
-		p := fb.sens.BigPowerW + fb.sens.LittlePowerW + baseW
-		if !math.IsNaN(p) && !math.IsInf(p, 0) {
-			rec.PowerW += p
-		}
-		b := fb.sens.BIPS
-		if !math.IsNaN(b) && !math.IsInf(b, 0) {
-			rec.BIPS += b
-		}
-	}
-	return rec
 }

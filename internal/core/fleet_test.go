@@ -210,9 +210,15 @@ func TestFleetRunValidation(t *testing.T) {
 	if _, err := FleetRun(p.Cfg, members[:3], opt); err == nil {
 		t.Fatal("topology covering 4 boards accepted for 3 members")
 	}
+	opt = fleetTestOptions("equal")
+	opt.Engine = "lockstep" // the deprecated field names the one engine or nothing
+	if _, err := FleetRun(p.Cfg, members, opt); err == nil {
+		t.Fatal("engine \"lockstep\" accepted")
+	}
 
 	opt = fleetTestOptions("equal")
 	opt.MaxTime = 10 * time.Second
+	opt.Engine = EngineEvent
 	res, err := FleetRun(p.Cfg, members, opt)
 	if err != nil {
 		t.Fatal(err)

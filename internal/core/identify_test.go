@@ -94,16 +94,21 @@ func TestNewPlatformReportsFirstSequentialError(t *testing.T) {
 // explicit float64(x*y) conversion forbids it. The arithmetic of a listed
 // package then rounds alike on every architecture; calls into unlisted
 // packages still may not.
-var fmaCheckedPackages = []string{"./internal/lti", "./internal/sysid", "./internal/robust", "./internal/ssvctl", "./internal/core", "./internal/fleet", "./internal/obs", "./internal/board", "./internal/mat"}
+var fmaCheckedPackages = []string{
+	"./internal/lti", "./internal/sysid", "./internal/robust", "./internal/ssvctl", "./internal/core",
+	"./internal/fleet", "./internal/obs", "./internal/board", "./internal/mat",
+	"./internal/fault", "./internal/workload", "./internal/lqgctl", "./internal/heuristic", "./internal/optimizer",
+}
 
 // fusedOp matches one fused multiply-add in the compiler's assembly listing
 // and captures its file:line.
 var fusedOp = regexp.MustCompile(`\(([^()]+:\d+)\)\s+(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
 
 // TestIdentificationHasNoFusedMultiplyAdd cross-compiles fmaCheckedPackages
-// (identification, μ-synthesis, the SSV runtime, the controller schemes, the
-// fleet coordinators, the metrics registry, board physics and the dense
-// matrix kernels) for arm64 with the assembly
+// (identification, μ-synthesis, the SSV, LQG and heuristic runtimes, the
+// optimizer, the controller schemes, the fleet coordinators, the metrics
+// registry, board physics, workloads, fault injection and the dense matrix
+// kernels) for arm64 with the assembly
 // listing on and fails on any fused multiply-add, naming each site.
 // Functions from other packages inlined into a checked one
 // (mat.Matrix.FrobeniusNorm into lti) are checked with it.

@@ -67,10 +67,6 @@ type RunOptions struct {
 	// figures) set it so thousands of runs do not each retain a full
 	// time-series trace they never read.
 	SkipSeries bool
-	// Engine names the simulation core ("" = EngineEvent). It is validated
-	// for parity with FleetOptions.Engine, but a solo run has one board and
-	// runs the same single loop under either name.
-	Engine Engine
 	// Trace, when non-nil, receives one obs.Record per control interval:
 	// the sensor vector the controller saw, the commanded vs applied
 	// actuation, the supervisory state and detector pressures, the faults
@@ -100,8 +96,7 @@ func Run(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*Ru
 	return res, nil
 }
 
-// newSoloRun performs the shared run setup — option defaults, engine
-// validation, the board (newBoardRun, keyed by scheme and app), the result
+// newSoloRun performs the shared run setup — option defaults, the board (newBoardRun, keyed by scheme and app), the result
 // series — for both the batch Run path and the incrementally driven StepRun
 // path. The two paths execute the identical soloRun.advance interval
 // afterwards, which is what makes a hosted session's trace byte-identical to
@@ -112,9 +107,6 @@ func newSoloRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOption
 	}
 	if opt.Interval <= 0 {
 		opt.Interval = 500 * time.Millisecond
-	}
-	if _, err := opt.Engine.resolve(); err != nil {
-		return nil, err
 	}
 	br, err := newBoardRun(cfg, sch, w, fault.RunKey(sch.faultKey(), w.Name()),
 		opt.Faults, opt.Interval, opt.Trace, opt.Metrics)

@@ -30,8 +30,6 @@ type StepRun struct {
 }
 
 // NewStepRun builds an incrementally driven run from the same inputs as Run.
-// The Engine option is validated for parity with the batch path; like Run,
-// a StepRun has one board and one loop whichever engine is named.
 func NewStepRun(cfg board.Config, sch Scheme, w workload.Workload, opt RunOptions) (*StepRun, error) {
 	r, err := newSoloRun(cfg, sch, w, opt)
 	if err != nil {

@@ -66,7 +66,7 @@ func TestStepRunMatchesBatch(t *testing.T) {
 	chunkings := [][]int{{1}, {7}, {1, 13, 2}, {1000}}
 	for _, sch := range schemes {
 		for _, class := range []string{"clean", "all"} {
-			batch := soloFingerprint(t, p, sch, class, EngineEvent)
+			batch := soloFingerprint(t, p, sch, class)
 			for _, chunks := range chunkings {
 				got := stepRunFingerprint(t, p, sch, class, chunks)
 				diffFingerprints(t, sch.Name+"/"+class, batch, got)

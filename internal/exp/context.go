@@ -52,10 +52,6 @@ type Context struct {
 	// FleetTopo is the coordinator topology spec applied to every fleet
 	// sweep cell, or "" for the one-level tree; see Options.FleetTopo.
 	FleetTopo string
-
-	// Engine is the simulation core threaded into every run; see
-	// Options.Engine.
-	Engine core.Engine
 }
 
 // NewContext builds the platform (identification plus model fitting) with
@@ -82,7 +78,6 @@ func NewContextWithOptions(opt Options) (*Context, error) {
 		TraceDir:     opt.TraceDir,
 		FleetBudgetW: opt.FleetBudgetW,
 		FleetTopo:    opt.FleetTopo,
-		Engine:       opt.Engine,
 	}
 	if opt.Metrics {
 		c.Metrics = obs.NewRegistry()
@@ -109,22 +104,19 @@ func runOpts() core.RunOptions {
 
 // scalarOpts is runOpts for drivers that only consume scalar results
 // (energy, mean power, completion): the per-run series buffers are skipped
-// and the context's metrics registry and engine selection are attached.
+// and the context's metrics registry is attached.
 func (c *Context) scalarOpts() core.RunOptions {
 	opt := runOpts()
 	opt.SkipSeries = true
 	opt.Metrics = c.Metrics
-	opt.Engine = c.Engine
 	return opt
 }
 
-// traceOpts is runOpts with the context's metrics registry and engine
-// selection attached, keeping the series buffers for drivers that plot
-// signals over time.
+// traceOpts is runOpts with the context's metrics registry attached,
+// keeping the series buffers for drivers that plot signals over time.
 func (c *Context) traceOpts() core.RunOptions {
 	opt := runOpts()
 	opt.Metrics = c.Metrics
-	opt.Engine = c.Engine
 	return opt
 }
 

@@ -12,7 +12,7 @@ var (
 	ctxErr  error
 )
 
-func testContext(t *testing.T) *Context {
+func testContext(t testing.TB) *Context {
 	t.Helper()
 	ctxOnce.Do(func() { ctx, ctxErr = NewContext() })
 	if ctxErr != nil {

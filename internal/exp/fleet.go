@@ -179,7 +179,6 @@ func (c *Context) fleetOpts(n int, policyName, class string, boardBudgetW float6
 		Interval:    500 * time.Millisecond,
 		Parallelism: c.Parallelism,
 		Metrics:     c.Metrics,
-		Engine:      c.Engine,
 	}
 	if c.FleetTopo != "" {
 		topo, err := fleet.ParseTopology(c.FleetTopo)

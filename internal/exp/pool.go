@@ -48,12 +48,6 @@ type Options struct {
 	// the sweep's fleet size. Empty runs a single coordinator over all
 	// boards (the one-level tree).
 	FleetTopo string
-
-	// Engine selects the simulation core for every run the harness launches
-	// ("" = the event engine). Results and traces are byte-identical across
-	// engines; the lockstep engine exists for differential testing and
-	// engine benchmarking.
-	Engine core.Engine
 }
 
 // workers resolves the context's parallelism setting to a concrete count.

@@ -72,7 +72,7 @@ func (c *Context) Fig15a() (*TraceSet, error) {
 			return err
 		}
 		res, err := core.Run(c.P.Cfg, sch, w,
-			core.RunOptions{MaxTime: 500 * time.Second, Metrics: c.Metrics, Engine: c.Engine})
+			core.RunOptions{MaxTime: 500 * time.Second, Metrics: c.Metrics})
 		if err != nil {
 			return err
 		}
@@ -205,7 +205,7 @@ func (c *Context) Fig17() (*TraceSet, error) {
 			return err
 		}
 		res, err := core.Run(c.P.Cfg, sch, wk,
-			core.RunOptions{MaxTime: 500 * time.Second, Metrics: c.Metrics, Engine: c.Engine})
+			core.RunOptions{MaxTime: 500 * time.Second, Metrics: c.Metrics})
 		if err != nil {
 			return err
 		}

@@ -157,7 +157,7 @@ func Preset(seed int64, s float64) Plan {
 		Phase: workload.Disturbance{
 			MeanPeriodG: 400 / s,
 			DurationG:   40,
-			ThreadFrac:  1 - 0.1*s,
+			ThreadFrac:  1 - float64(0.1*s),
 			MemBoundAdd: 0.15 * s,
 		},
 	}
@@ -342,7 +342,7 @@ func (in *Injector) Advance(b *board.Board) {
 	for b.TimeS() >= in.nextEventS {
 		b.ForceEmergencyThrottle(time.Duration(in.plan.Thermal.DurationS * float64(time.Second)))
 		in.stats.ForcedThrottles++
-		in.nextEventS += in.plan.Thermal.DurationS + in.thermRNG.ExpFloat64()*in.plan.Thermal.MeanPeriodS
+		in.nextEventS += in.plan.Thermal.DurationS + float64(in.thermRNG.ExpFloat64()*in.plan.Thermal.MeanPeriodS)
 	}
 }
 
@@ -361,16 +361,16 @@ func (in *Injector) TapSensors(s board.Sensors) board.Sensors {
 		}
 	}
 	if n.PowerStdW > 0 {
-		s.BigPowerW = math.Max(0, s.BigPowerW+in.noiseRNG.NormFloat64()*n.PowerStdW*gain)
+		s.BigPowerW = math.Max(0, s.BigPowerW+float64(in.noiseRNG.NormFloat64()*n.PowerStdW*gain))
 		s.LittlePowerW = math.Max(0, s.LittlePowerW+in.noiseRNG.NormFloat64()*n.PowerStdW*gain/10)
 	}
 	if n.TempStdC > 0 {
-		s.TempC += in.noiseRNG.NormFloat64() * n.TempStdC * gain
+		s.TempC += float64(in.noiseRNG.NormFloat64() * n.TempStdC * gain)
 	}
 	if n.PerfStdFrac > 0 {
-		s.BIPS = math.Max(0, s.BIPS*(1+in.noiseRNG.NormFloat64()*n.PerfStdFrac*gain))
-		s.BIPSBig = math.Max(0, s.BIPSBig*(1+in.noiseRNG.NormFloat64()*n.PerfStdFrac*gain))
-		s.BIPSLittle = math.Max(0, s.BIPSLittle*(1+in.noiseRNG.NormFloat64()*n.PerfStdFrac*gain))
+		s.BIPS = math.Max(0, s.BIPS*(1+float64(in.noiseRNG.NormFloat64()*n.PerfStdFrac*gain)))
+		s.BIPSBig = math.Max(0, s.BIPSBig*(1+float64(in.noiseRNG.NormFloat64()*n.PerfStdFrac*gain)))
+		s.BIPSLittle = math.Max(0, s.BIPSLittle*(1+float64(in.noiseRNG.NormFloat64()*n.PerfStdFrac*gain)))
 	}
 
 	d := in.plan.Dropout

@@ -106,7 +106,7 @@ func (c *CoordinatedHW) Step(s board.Sensors, b *board.Board) {
 
 	// Temperature overrides: the big cluster dominates the hot spot.
 	if s.TempC > c.Lim.TempC {
-		b.SetBigFreq(b.BigFreq() - 3*cfg.Big.FreqStepGHz)
+		b.SetBigFreq(b.BigFreq() - float64(3*cfg.Big.FreqStepGHz))
 	} else if s.TempC > c.Lim.TempC-1.5 {
 		b.SetBigFreq(b.BigFreq() - cfg.Big.FreqStepGHz)
 	}

@@ -158,7 +158,7 @@ func (r *Runtime) Step(measurements, externals []float64) ([]float64, error) {
 		raw := r.inScale[i].Denormalize(u[i])
 		r.lastRaw[i] = raw
 		lv := r.levels[i]
-		if raw < lv[0]-0.25*(lv[len(lv)-1]-lv[0]) || raw > lv[len(lv)-1]+0.25*(lv[len(lv)-1]-lv[0]) {
+		if raw < lv[0]-float64(0.25*(lv[len(lv)-1]-lv[0])) || raw > lv[len(lv)-1]+float64(0.25*(lv[len(lv)-1]-lv[0])) {
 			// The controller is commanding far beyond the physical range:
 			// this interval is spent "changing an input beyond its limit and
 			// observing no change" (§VI-B).
@@ -263,7 +263,7 @@ func (r *Runtime) Health() Health {
 		if span <= 0 {
 			span = math.Max(math.Abs(hi), 1)
 		}
-		if raw < lo-0.5*span || raw > hi+0.5*span {
+		if raw < lo-float64(0.5*span) || raw > hi+float64(0.5*span) {
 			h.Railed = true
 		}
 	}

@@ -84,16 +84,6 @@ func (m *CMatrix) Add(b *CMatrix) *CMatrix {
 	return out
 }
 
-// Sub returns m - b.
-func (m *CMatrix) Sub(b *CMatrix) *CMatrix {
-	m.sameShape(b, "Sub")
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out
-}
-
 // CMul returns x·y as Go's complex multiplication computes it on amd64,
 // (xr·yr − xi·yi) + (xr·yi + xi·yr)i, with each real product rounded on its
 // own so that no architecture fuses it into a multiply-add.

@@ -102,7 +102,7 @@ func (o *Optimizer) UpdateInto(dst []float64, exd float64) []float64 {
 		o.emaInit = true
 	} else {
 		a := o.cfg.Smoothing
-		o.ema = a*o.ema + (1-a)*exd
+		o.ema = float64(a*o.ema) + float64((1-a)*exd)
 	}
 	o.tick++
 	if o.tick < o.cfg.SettleIntervals {

@@ -1,6 +1,6 @@
 // Package pool is the bounded worker pool shared by the experiment harness
-// (fan-out over independent runs), the fleet runner (fan-out over boards
-// inside one lockstep control interval) and the μ frequency sweep of
+// (fan-out over independent runs), the fleet runner (fan-out over the boards
+// woken in one reallocation epoch) and the μ frequency sweep of
 // internal/robust (fan-out over grid points). It was extracted from
 // internal/exp so internal/core could reuse it without an import cycle.
 //

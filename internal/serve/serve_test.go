@@ -3,10 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -160,7 +165,6 @@ func TestServeTraceMatchesBatch(t *testing.T) {
 				MaxTime:    20 * time.Second,
 				SkipSeries: true,
 				Trace:      rec,
-				Engine:     core.EngineEvent,
 			}
 			if class != "" {
 				opt.Faults = fault.PresetClass(7, 1.0, class)
@@ -277,14 +281,13 @@ func TestAdmissionCapacity(t *testing.T) {
 }
 
 // TestCreateValidation checks the 400 paths: unknown scheme, app, fault
-// class, engine, and fault knobs without a class.
+// class, and fault knobs without a class.
 func TestCreateValidation(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	for _, req := range []CreateRequest{
 		{Scheme: "nope", App: "gamess"},
 		{Scheme: "coordinated", App: "nope"},
 		{Scheme: "coordinated", App: "gamess", FaultClass: "nope"},
-		{Scheme: "coordinated", App: "gamess", Engine: "nope"},
 		{Scheme: "coordinated", App: "gamess", FaultSeed: 3},
 		{Scheme: "coordinated", App: "gamess", IntervalMS: -1},
 	} {
@@ -294,6 +297,72 @@ func TestCreateValidation(t *testing.T) {
 		if code := do(t, "POST", ts.URL+"/v1/sessions", req, &eb); code != http.StatusBadRequest || eb.Code != "bad_request" {
 			t.Errorf("create %+v: status %d code %q; want 400/bad_request", req, code, eb.Code)
 		}
+	}
+}
+
+// TestRetiredEngineFieldIgnored pins what a client that still sends the
+// retired "engine" create field gets: the JSON decoder ignores the field, so
+// a POST body carrying "engine":"lockstep" and a recovered log whose create
+// record carries "engine":"event" both run the one engine and stream the
+// trace of the batch core.Run of the same options.
+func TestRetiredEngineFieldIgnored(t *testing.T) {
+	p := testPlatform(t)
+	w, err := workload.Lookup("gamess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0)
+	opt := core.RunOptions{MaxTime: 20 * time.Second, SkipSeries: true, Trace: rec}
+	if _, err := core.Run(p.Cfg, DefaultSchemes(p)["coordinated"], w, opt); err != nil {
+		t.Fatal(err)
+	}
+	var batch bytes.Buffer
+	if err := rec.WriteJSONL(&batch); err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.Sum256(batch.Bytes())
+
+	// A fresh create whose body names the retired lockstep engine.
+	_, ts := newTestServer(t, nil)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(
+		`{"scheme":"coordinated","app":"gamess","max_time_s":20,"engine":"lockstep"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info SessionInfo
+	derr := json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || derr != nil {
+		t.Fatalf("create with engine field: status %d, decode %v", resp.StatusCode, derr)
+	}
+	stepToDone(t, ts, info.ID, 7)
+	if got := sha256.Sum256(fetchTrace(t, ts, info.ID)); got != want {
+		t.Errorf("POST with \"engine\":\"lockstep\": trace SHA-256 %x, batch %x", got, want)
+	}
+
+	// A log written before the field was retired: its create record
+	// carries "engine":"event", followed by one logged step batch.
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	for _, payload := range []string{
+		`{"t":"create","tenant":"old","req":{"scheme":"coordinated","app":"gamess","max_time_s":20,"engine":"event"}}`,
+		`{"t":"step","n":5}`,
+	} {
+		log = fmt.Appendf(log, "%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	}
+	if err := os.WriteFile(sessionWALPath(dir, "s-1"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, tsR := newDurableServer(t, dir, nil)
+	if rep := s.Recover(); rep.Recovered != 1 || rep.ReplayedSteps != 5 {
+		t.Fatalf("recover report %+v; want 1 session at step 5", rep)
+	}
+	stepToDone(t, tsR, "s-1", 7)
+	if got := sha256.Sum256(fetchTrace(t, tsR, "s-1")); got != want {
+		t.Errorf("recovered log with \"engine\":\"event\": trace SHA-256 %x, batch %x", got, want)
 	}
 }
 

@@ -46,11 +46,6 @@ type CreateRequest struct {
 	IntervalMS int `json:"interval_ms,omitempty"`
 	// MaxTimeS bounds the simulated run time in seconds. 0 means 1200.
 	MaxTimeS float64 `json:"max_time_s,omitempty"`
-	// Engine selects the simulation core ("", "event" or "lockstep") — for
-	// parity with the batch CLIs; both engines are byte-identical, and a
-	// hosted single-board session degenerates to the same per-interval
-	// sequence either way.
-	Engine string `json:"engine,omitempty"`
 	// TraceCapacity is the flight-recorder ring capacity in control
 	// intervals (the trace endpoint streams the retained window). 0 means
 	// obs.DefaultCapacity; -1 disables tracing entirely.
@@ -243,11 +238,6 @@ func (s *Server) buildRun(req CreateRequest) (*core.StepRun, *obs.Recorder, erro
 	}
 	if req.MaxTimeS > 0 {
 		opt.MaxTime = time.Duration(req.MaxTimeS * float64(time.Second))
-	}
-	if eng, err := core.ParseEngine(req.Engine); err != nil {
-		return nil, nil, err
-	} else {
-		opt.Engine = eng
 	}
 	if req.FaultClass != "" {
 		if !fault.ValidClass(req.FaultClass) {

@@ -485,9 +485,6 @@ func (r *Runtime) OpsPerStep() int { return r.opsPerStep }
 // state (§VI-D reports ≈2.6 KB for N=20, I=4, O=4, E=3).
 func (r *Runtime) StateBytes() int { return r.bytesState }
 
-// Report exposes the synthesis report of the wrapped controller.
-func (r *Runtime) Report() robust.Report { return r.ctl.Report }
-
 // levelIndex returns the index of level v in the sorted level set.
 func levelIndex(levels []float64, v float64) int {
 	best, bd := 0, math.Abs(v-levels[0])

@@ -200,17 +200,6 @@ func (m *Model) Predict(d *Dataset, t int) []float64 {
 	return y
 }
 
-// Simulate runs the model open loop over the input sequence u, starting from
-// zero history, and returns the simulated outputs.
-func (m *Model) Simulate(u [][]float64) [][]float64 {
-	ss := m.StateSpace()
-	y, err := ss.Simulate(nil, u)
-	if err != nil {
-		return nil
-	}
-	return y
-}
-
 // StateSpace converts the ARX model to a block-companion state-space
 // realization with state [y(T-1)..y(T-NA); u(T-1)..u(T-NB+1)] and direct
 // feedthrough D = B_0.

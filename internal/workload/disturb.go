@@ -112,7 +112,7 @@ func (dw *Disturbed) Advance(gInst float64) bool {
 		dw.endG = dw.doneG + dw.d.DurationG
 	case dw.active && dw.doneG >= dw.endG:
 		dw.active = false
-		dw.nextG = dw.doneG + dw.rng.ExpFloat64()*dw.d.MeanPeriodG
+		dw.nextG = dw.doneG + float64(dw.rng.ExpFloat64()*dw.d.MeanPeriodG)
 	}
 	return dw.Inner.Advance(gInst)
 }

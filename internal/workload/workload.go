@@ -227,9 +227,9 @@ func (m *Mix) Profile() Profile {
 		p := a.Profile()
 		w := float64(p.Threads)
 		out.Threads += p.Threads
-		out.MemBound += w * p.MemBound
-		out.IPCBig += w * p.IPCBig
-		out.IPCLittle += w * p.IPCLittle
+		out.MemBound += float64(w * p.MemBound)
+		out.IPCBig += float64(w * p.IPCBig)
+		out.IPCLittle += float64(w * p.IPCLittle)
 		wsum += w
 	}
 	if wsum > 0 {

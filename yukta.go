@@ -80,23 +80,7 @@ type (
 	// FaultPlan is a deterministic fault-injection campaign; attach one via
 	// RunOptions.Faults.
 	FaultPlan = fault.Plan
-	// Engine selects the simulation core (EngineEvent or EngineLockstep);
-	// set it via RunOptions.Engine. Both engines are byte-identical in every
-	// observable output.
-	Engine = core.Engine
 )
-
-// Simulation engines. EngineEvent (the default) advances the run on a
-// shared-clock discrete-event heap; EngineLockstep is the reference
-// per-interval loop kept for differential testing.
-const (
-	EngineEvent    = core.EngineEvent
-	EngineLockstep = core.EngineLockstep
-)
-
-// ParseEngine validates an engine name ("", "event" or "lockstep") and
-// returns the Engine it selects.
-func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
 // NewFlightRecorder returns a flight recorder holding the last capacity
 // control intervals (obs.DefaultCapacity when capacity <= 0).
