@@ -482,102 +482,180 @@ func busyCores(threads int, tpc float64, coresOn int) int {
 // between calls and caps move only when a governor reaches its step period,
 // so the full key is rebuilt and compared on entry and after such a step;
 // every other substep compares just the workload profile.
+//
+// A substep is refresh (the operating point), leak (the temperature's
+// leakage factor), integrate (everything else).
 func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
+	iv := b.begin(w, dt)
+	for i := 0; i < iv.steps; i++ {
+		b.refresh(&iv)
+		b.integrate(&iv, b.leak())
+	}
+	return b.end(&iv)
+}
+
+// RunPair advances two distinct boards, each running its own workload, by
+// dt, exactly as a.Run(wa, dt) and c.Run(wc, dt) would: every sensor field,
+// energy, temperature and time bit for bit. Only the instruction order
+// changes. Each substep's leakage factor exp((T−50)/scale) depends on the
+// temperature the previous substep produced, so one board's physics is a
+// latency-bound chain; RunPair refreshes both operating points, issues
+// both boards' Exp calls back to back and then integrates both, so the CPU
+// overlaps the two independent chains (DESIGN §13). A board with more
+// substeps (a smaller SimStep) runs its tail alone, and a board whose
+// clusters' leakage scales differ computes its second factor in integrate.
+func RunPair(a, c *Board, wa, wc workload.Workload, dt time.Duration) (Sensors, Sensors) {
+	ia, ic := a.begin(wa, dt), c.begin(wc, dt)
+	n := min(ia.steps, ic.steps)
+	for i := 0; i < n; i++ {
+		a.refresh(&ia)
+		c.refresh(&ic)
+		leakA, leakC := a.leak(), c.leak()
+		a.integrate(&ia, leakA)
+		c.integrate(&ic, leakC)
+	}
+	for i := n; i < ia.steps; i++ {
+		a.refresh(&ia)
+		a.integrate(&ia, a.leak())
+	}
+	for i := n; i < ic.steps; i++ {
+		c.refresh(&ic)
+		c.integrate(&ic, c.leak())
+	}
+	return a.end(&ia), c.end(&ic)
+}
+
+// interval is one board's bookkeeping for one Run or RunPair call: the
+// workload, the substep size and count, the sensor period, whether the
+// operating-point key must be rebuilt, and the instructions retired so far.
+type interval struct {
+	w                   workload.Workload
+	stepS, sensorS      float64
+	steps               int
+	rekey               bool // the key's non-profile inputs may have moved
+	instT, instB, instL float64
+}
+
+// begin starts an interval of length dt running w.
+func (b *Board) begin(w workload.Workload, dt time.Duration) interval {
 	stepS := b.cfg.SimStep.Seconds()
 	nSteps := int(math.Round(dt.Seconds() / stepS))
 	if nSteps < 1 {
 		nSteps = 1
 	}
-	sensorS := b.cfg.PowerSensorPeriod.Seconds() - 1e-9
-	scaleBig, scaleLittle := b.cfg.Big.StaticTempScaleC, b.cfg.Little.StaticTempScaleC
-	var instT, instB, instL float64
-	rekey := true // the key's non-profile inputs may have moved
-	for i := 0; i < nSteps; i++ {
-		prof := w.Profile()
-		if rekey {
-			k := opKey{
-				prof:        prof,
-				fBig:        b.EffectiveBigFreq(),
-				fLittle:     b.EffectiveLittleFreq(),
-				bigCores:    b.bigCores,
-				littleCores: b.littleCores,
-				place:       b.place,
-			}
-			if !b.opValid || k != b.opKey {
-				b.opBig, b.opLittle = b.evalOps(k)
-				b.opKey, b.opValid = k, true
-			}
-		} else if prof != b.opKey.prof {
-			b.opKey.prof = prof
-			b.opBig, b.opLittle = b.evalOps(b.opKey)
-		}
-		// Equal leakage scales (the default) give the same exponent, and so
-		// the same factor, for both clusters.
-		leakBig := math.Exp((b.tempC - 50) / scaleBig)
-		leakLittle := leakBig
-		if scaleLittle != scaleBig {
-			leakLittle = math.Exp((b.tempC - 50) / scaleLittle)
-		}
-		// (pBusy+pIdle) + (coresOn·StaticBaseW)·exp is the operation order
-		// the golden traces were recorded with; keep it.
-		bigW := b.opBig.dynW + float64(b.opBig.leakW*leakBig)
-		littleW := b.opLittle.dynW + float64(b.opLittle.leakW*leakLittle)
-
-		// Migration stalls eat into this step's execution.
-		execS := stepS
-		if b.migStallS > 0 {
-			if b.migStallS >= stepS {
-				b.migStallS -= stepS
-				execS = 0
-			} else {
-				execS = stepS - b.migStallS
-				b.migStallS = 0
-			}
-		}
-
-		gB := float64(b.opBig.rateGIPS * execS)
-		gL := float64(b.opLittle.rateGIPS * execS)
-		w.Advance(gB + gL)
-		instB += gB
-		instL += gL
-		instT += gB + gL
-
-		pTotal := bigW + littleW + b.cfg.BasePowerW
-		b.energyJ += float64(pTotal * stepS)
-		b.windowBigE += float64(bigW * stepS)
-		b.windowLittleE += float64(littleW * stepS)
-
-		// Thermal RC integration.
-		tss := b.cfg.AmbientC + float64(b.cfg.ThermalRCW*pTotal)
-		b.tempC += stepS * (tss - b.tempC) / b.cfg.ThermalTauS
-
-		b.nowS += stepS
-
-		// Power sensors latch the window average every sensor period.
-		if b.nowS-b.windowStartS >= sensorS {
-			win := b.nowS - b.windowStartS
-			b.sensedBigW = b.windowBigE / win
-			b.sensedLittleW = b.windowLittleE / win
-			if b.noise != nil {
-				b.sensedBigW = math.Max(0, b.sensedBigW+float64(b.noise.NormFloat64()*b.cfg.SensorNoiseStd))
-				b.sensedLittleW = math.Max(0, b.sensedLittleW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd/10)
-			}
-			b.windowBigE, b.windowLittleE = 0, 0
-			b.windowStartS = b.nowS
-		}
-
-		// Firmware emergency management sees instantaneous physics.
-		tmuStepped := b.tmu.step(b, bigW, littleW, stepS)
-		// The budget governor enforces the board-level power cap on the
-		// total draw, after (and never overriding) the emergency paths.
-		budgetStepped := b.budget.step(b, pTotal, stepS)
-		rekey = tmuStepped || budgetStepped
+	return interval{
+		w:       w,
+		stepS:   stepS,
+		sensorS: b.cfg.PowerSensorPeriod.Seconds() - 1e-9,
+		steps:   nSteps,
+		rekey:   true,
 	}
-	b.instTotal += instT
-	b.instBig += instB
-	b.instLittle += instL
+}
 
-	intervalS := float64(nSteps) * stepS
+// refresh brings the cached operating points up to date for the next
+// substep.
+func (b *Board) refresh(iv *interval) {
+	prof := iv.w.Profile()
+	if iv.rekey {
+		k := opKey{
+			prof:        prof,
+			fBig:        b.EffectiveBigFreq(),
+			fLittle:     b.EffectiveLittleFreq(),
+			bigCores:    b.bigCores,
+			littleCores: b.littleCores,
+			place:       b.place,
+		}
+		if !b.opValid || k != b.opKey {
+			b.opBig, b.opLittle = b.evalOps(k)
+			b.opKey, b.opValid = k, true
+		}
+	} else if prof != b.opKey.prof {
+		b.opKey.prof = prof
+		b.opBig, b.opLittle = b.evalOps(b.opKey)
+	}
+}
+
+// leak returns the big cluster's leakage factor exp((T−50)/scale) at the
+// current temperature.
+func (b *Board) leak() float64 {
+	return math.Exp((b.tempC - 50) / b.cfg.Big.StaticTempScaleC)
+}
+
+// integrate advances one substep given the big cluster's leakage factor:
+// energy, the thermal RC, the power-sensor window, and the firmware and
+// budget governors.
+func (b *Board) integrate(iv *interval, leakBig float64) {
+	// Equal leakage scales (the default) give the same exponent, and so
+	// the same factor, for both clusters.
+	leakLittle := leakBig
+	if b.cfg.Little.StaticTempScaleC != b.cfg.Big.StaticTempScaleC {
+		leakLittle = math.Exp((b.tempC - 50) / b.cfg.Little.StaticTempScaleC)
+	}
+	stepS := iv.stepS
+	// (pBusy+pIdle) + (coresOn·StaticBaseW)·exp is the operation order
+	// the golden traces were recorded with; keep it.
+	bigW := b.opBig.dynW + float64(b.opBig.leakW*leakBig)
+	littleW := b.opLittle.dynW + float64(b.opLittle.leakW*leakLittle)
+
+	// Migration stalls eat into this step's execution.
+	execS := stepS
+	if b.migStallS > 0 {
+		if b.migStallS >= stepS {
+			b.migStallS -= stepS
+			execS = 0
+		} else {
+			execS = stepS - b.migStallS
+			b.migStallS = 0
+		}
+	}
+
+	gB := float64(b.opBig.rateGIPS * execS)
+	gL := float64(b.opLittle.rateGIPS * execS)
+	iv.w.Advance(gB + gL)
+	iv.instB += gB
+	iv.instL += gL
+	iv.instT += gB + gL
+
+	pTotal := bigW + littleW + b.cfg.BasePowerW
+	b.energyJ += float64(pTotal * stepS)
+	b.windowBigE += float64(bigW * stepS)
+	b.windowLittleE += float64(littleW * stepS)
+
+	// Thermal RC integration.
+	tss := b.cfg.AmbientC + float64(b.cfg.ThermalRCW*pTotal)
+	b.tempC += stepS * (tss - b.tempC) / b.cfg.ThermalTauS
+
+	b.nowS += stepS
+
+	// Power sensors latch the window average every sensor period.
+	if b.nowS-b.windowStartS >= iv.sensorS {
+		win := b.nowS - b.windowStartS
+		b.sensedBigW = b.windowBigE / win
+		b.sensedLittleW = b.windowLittleE / win
+		if b.noise != nil {
+			b.sensedBigW = math.Max(0, b.sensedBigW+float64(b.noise.NormFloat64()*b.cfg.SensorNoiseStd))
+			b.sensedLittleW = math.Max(0, b.sensedLittleW+b.noise.NormFloat64()*b.cfg.SensorNoiseStd/10)
+		}
+		b.windowBigE, b.windowLittleE = 0, 0
+		b.windowStartS = b.nowS
+	}
+
+	// Firmware emergency management sees instantaneous physics.
+	tmuStepped := b.tmu.step(b, bigW, littleW, stepS)
+	// The budget governor enforces the board-level power cap on the
+	// total draw, after (and never overriding) the emergency paths.
+	budgetStepped := b.budget.step(b, pTotal, stepS)
+	iv.rekey = tmuStepped || budgetStepped
+}
+
+// end closes the interval: it folds the retired instructions into the
+// perf counters and returns the (tapped) sensor view.
+func (b *Board) end(iv *interval) Sensors {
+	b.instTotal += iv.instT
+	b.instBig += iv.instB
+	b.instLittle += iv.instL
+
+	intervalS := float64(iv.steps) * iv.stepS
 	tempRead := b.tempC
 	if b.noise != nil {
 		tempRead += b.noise.NormFloat64() * b.cfg.SensorNoiseStd / 10
@@ -587,9 +665,9 @@ func (b *Board) Run(w workload.Workload, dt time.Duration) Sensors {
 		BigPowerW:        b.sensedBigW,
 		LittlePowerW:     b.sensedLittleW,
 		TempC:            tempRead,
-		BIPS:             instT / intervalS,
-		BIPSBig:          instB / intervalS,
-		BIPSLittle:       instL / intervalS,
+		BIPS:             iv.instT / intervalS,
+		BIPSBig:          iv.instB / intervalS,
+		BIPSLittle:       iv.instL / intervalS,
 		Throttled:        b.tmu.engagedBig || b.tmu.engagedLittle || b.tmu.engagedTemp,
 		ThermalThrottled: b.tmu.engagedTemp,
 		EmergencyEvents:  b.tmu.events,

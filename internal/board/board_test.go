@@ -638,100 +638,194 @@ func identicalBits(a, b any) bool {
 	return true
 }
 
+// randSensorTap is a deterministic sensor fault: it drops or repeats the
+// power readings, or perturbs the temperature reading.
+type randSensorTap struct {
+	rng  *rand.Rand
+	last Sensors
+}
+
+func (r *randSensorTap) TapSensors(s Sensors) Sensors {
+	switch r.rng.Intn(5) {
+	case 0:
+		s.BigPowerW, s.LittlePowerW = math.NaN(), math.NaN()
+	case 1:
+		s.BigPowerW, s.LittlePowerW = r.last.BigPowerW, r.last.LittlePowerW
+	case 2:
+		s.TempC += r.rng.NormFloat64()
+	}
+	r.last = s
+	return s
+}
+
+// physicsCase is one board's randomized scenario for the reference gates:
+// its configuration, workload kind and fault taps.
+type physicsCase struct {
+	cfg               Config
+	seed              int64
+	kind              int
+	actTap, sensorTap bool
+}
+
+// newPhysicsCase draws a scenario from rng.
+func newPhysicsCase(rng *rand.Rand, seed int64) physicsCase {
+	pc := physicsCase{cfg: DefaultConfig(), seed: seed}
+	if rng.Intn(2) == 0 {
+		pc.cfg.SensorNoiseStd, pc.cfg.SensorNoiseSeed = 0.05, seed
+	}
+	if rng.Intn(4) == 0 {
+		pc.cfg.Little.StaticTempScaleC = 30 // unequal scales: one Exp per cluster
+	}
+	if rng.Intn(4) == 0 {
+		pc.cfg.LittlePowerEmergencyW = 0.15 // reachable little-cluster emergency
+	}
+	if rng.Intn(4) == 0 {
+		// Unset budget knobs fall back to the emergency parameters.
+		pc.cfg.BudgetHold, pc.cfg.BudgetStepPeriod, pc.cfg.BudgetReleaseDelay = 0, 0, 0
+		pc.cfg.BudgetHysteresisPct = 0
+	}
+	if rng.Intn(3) == 0 {
+		pc.cfg.SimStep = 5 * time.Millisecond // twice the substeps
+	}
+	if rng.Intn(3) == 0 {
+		pc.cfg.DVFSTransition = 25 * time.Millisecond // stalls span substeps
+	}
+	pc.kind = rng.Intn(4)
+	pc.actTap = rng.Intn(2) == 0
+	pc.sensorTap = rng.Intn(3) == 0
+	return pc
+}
+
+// physicsTwin is a board and the workload it runs, built from a
+// physicsCase; twins built from one case evolve identically under the same
+// writes and intervals.
+type physicsTwin struct {
+	b      *Board
+	w      workload.Workload
+	capped *workload.Capped
+}
+
+func (pc physicsCase) build(t *testing.T) *physicsTwin {
+	tw := &physicsTwin{b: New(pc.cfg)}
+	switch pc.kind {
+	case 0:
+		tw.w = phasedApp(t, 60)
+	case 1:
+		tw.w = workload.NewMix("mix", phasedApp(t, 40), workload.MustLookup("mcf"))
+	case 2:
+		tw.capped = workload.NewCapped(phasedApp(t, 60))
+		tw.w = tw.capped
+	default:
+		tw.w = workload.NewDisturbed(phasedApp(t, 60), workload.Disturbance{
+			MeanPeriodG: 5, DurationG: 2, ThreadFrac: 0.5, MemBoundAdd: 0.2}, pc.seed)
+	}
+	if pc.actTap {
+		tw.b.AttachActuatorTap(randTap{rand.New(rand.NewSource(pc.seed ^ 0x5eed))})
+	}
+	if pc.sensorTap {
+		tw.b.AttachSensorTap(&randSensorTap{rng: rand.New(rand.NewSource(pc.seed ^ 0x7a9))})
+	}
+	return tw
+}
+
+// randomWrites applies up to three random actuator, placement, cap,
+// throttle and thread-cap writes, drawn from rng, to every twin alike.
+func randomWrites(rng *rand.Rand, twins ...*physicsTwin) {
+	caps := []float64{0, 1.5, 2.2, 3.0}
+	for n := rng.Intn(4); n > 0; n-- {
+		op, x, v := rng.Intn(9), rng.Intn(6)-1, rng.Float64()
+		for _, tw := range twins {
+			switch op {
+			case 0:
+				tw.b.SetBigCores(x)
+			case 1:
+				tw.b.SetLittleCores(x)
+			case 2:
+				tw.b.SetBigFreq(v * 2.4)
+			case 3:
+				tw.b.SetLittleFreq(v * 1.8)
+			case 4:
+				tw.b.Place(Placement{ThreadsBig: x + 3, ThreadsLittle: 4 - x,
+					ThreadsPerBigCore: 0.5 + 3*v, ThreadsPerLittleCore: 2.5 - 2*v})
+			case 5:
+				tw.b.ChargeMigrations(x)
+			case 6:
+				tw.b.SetPowerCapW(caps[(x+1)%len(caps)])
+			case 7:
+				tw.b.ForceEmergencyThrottle(time.Duration(v * float64(2*time.Second)))
+			case 8:
+				if tw.capped != nil {
+					tw.capped.SetCap(x + 2)
+				}
+			}
+		}
+	}
+}
+
+// sameInterval reports whether two twins ended an interval bit-identically:
+// the sensor views, energy, temperature, time, remaining work and actuator
+// mismatch count.
+func sameInterval(got, want *physicsTwin, sg, sw Sensors) bool {
+	return identicalBits(sg, sw) &&
+		math.Float64bits(got.b.EnergyJ()) == math.Float64bits(want.b.EnergyJ()) &&
+		math.Float64bits(got.b.TempC()) == math.Float64bits(want.b.TempC()) &&
+		math.Float64bits(got.b.TimeS()) == math.Float64bits(want.b.TimeS()) &&
+		math.Float64bits(got.w.Remaining()) == math.Float64bits(want.w.Remaining()) &&
+		got.b.ActuatorMismatches() == want.b.ActuatorMismatches()
+}
+
+// refIntervals are the control intervals the reference gates draw from.
+var refIntervals = []time.Duration{3 * time.Millisecond, 10 * time.Millisecond,
+	100 * time.Millisecond, 260 * time.Millisecond, 500 * time.Millisecond, time.Second}
+
 // TestRunMatchesReference drives a board through Run and a twin through
 // refRun with the same random actuator, placement, cap, throttle, workload
 // and interval sequence, and requires bit-identical results after every
 // interval. It is the gate the operating-point cache lives under.
 func TestRunMatchesReference(t *testing.T) {
-	intervals := []time.Duration{3 * time.Millisecond, 10 * time.Millisecond,
-		100 * time.Millisecond, 260 * time.Millisecond, 500 * time.Millisecond, time.Second}
-	caps := []float64{0, 1.5, 2.2, 3.0}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := DefaultConfig()
-		if rng.Intn(2) == 0 {
-			cfg.SensorNoiseStd, cfg.SensorNoiseSeed = 0.05, seed
-		}
-		if rng.Intn(4) == 0 {
-			cfg.Little.StaticTempScaleC = 30 // unequal scales: one Exp per cluster
-		}
-		if rng.Intn(4) == 0 {
-			cfg.LittlePowerEmergencyW = 0.15 // reachable little-cluster emergency
-		}
-		if rng.Intn(4) == 0 {
-			// Unset budget knobs fall back to the emergency parameters.
-			cfg.BudgetHold, cfg.BudgetStepPeriod, cfg.BudgetReleaseDelay = 0, 0, 0
-			cfg.BudgetHysteresisPct = 0
-		}
-		kind := rng.Intn(4)
-		tapped := rng.Intn(2) == 0
-		type twin struct {
-			b      *Board
-			w      workload.Workload
-			capped *workload.Capped
-			run    func(*Board, workload.Workload, time.Duration) Sensors
-		}
-		mk := func(run func(*Board, workload.Workload, time.Duration) Sensors) *twin {
-			tw := &twin{b: New(cfg), run: run}
-			switch kind {
-			case 0:
-				tw.w = phasedApp(t, 60)
-			case 1:
-				tw.w = workload.NewMix("mix", phasedApp(t, 40), workload.MustLookup("mcf"))
-			case 2:
-				tw.capped = workload.NewCapped(phasedApp(t, 60))
-				tw.w = tw.capped
-			default:
-				tw.w = workload.NewDisturbed(phasedApp(t, 60), workload.Disturbance{
-					MeanPeriodG: 5, DurationG: 2, ThreadFrac: 0.5, MemBoundAdd: 0.2}, seed)
-			}
-			if tapped {
-				tw.b.AttachActuatorTap(randTap{rand.New(rand.NewSource(seed ^ 0x5eed))})
-			}
-			return tw
-		}
-		got := mk((*Board).Run)
-		want := mk(refRun)
-		twins := []*twin{got, want}
+		pc := newPhysicsCase(rng, seed)
+		got, want := pc.build(t), pc.build(t)
 		for step := 0; step < 80; step++ {
-			for n := rng.Intn(4); n > 0; n-- {
-				op, x, v := rng.Intn(9), rng.Intn(6)-1, rng.Float64()
-				for _, tw := range twins {
-					switch op {
-					case 0:
-						tw.b.SetBigCores(x)
-					case 1:
-						tw.b.SetLittleCores(x)
-					case 2:
-						tw.b.SetBigFreq(v * 2.4)
-					case 3:
-						tw.b.SetLittleFreq(v * 1.8)
-					case 4:
-						tw.b.Place(Placement{ThreadsBig: x + 3, ThreadsLittle: 4 - x,
-							ThreadsPerBigCore: 0.5 + 3*v, ThreadsPerLittleCore: 2.5 - 2*v})
-					case 5:
-						tw.b.ChargeMigrations(x)
-					case 6:
-						tw.b.SetPowerCapW(caps[(x+1)%len(caps)])
-					case 7:
-						tw.b.ForceEmergencyThrottle(time.Duration(v * float64(2*time.Second)))
-					case 8:
-						if tw.capped != nil {
-							tw.capped.SetCap(x + 2)
-						}
-					}
-				}
-			}
-			dt := intervals[rng.Intn(len(intervals))]
-			sg, sw := got.run(got.b, got.w, dt), want.run(want.b, want.w, dt)
-			if !identicalBits(sg, sw) ||
-				math.Float64bits(got.b.EnergyJ()) != math.Float64bits(want.b.EnergyJ()) ||
-				math.Float64bits(got.b.TempC()) != math.Float64bits(want.b.TempC()) ||
-				math.Float64bits(got.b.TimeS()) != math.Float64bits(want.b.TimeS()) ||
-				math.Float64bits(got.w.Remaining()) != math.Float64bits(want.w.Remaining()) ||
-				got.b.ActuatorMismatches() != want.b.ActuatorMismatches() {
+			randomWrites(rng, got, want)
+			dt := refIntervals[rng.Intn(len(refIntervals))]
+			sg, sw := got.b.Run(got.w, dt), refRun(want.b, want.w, dt)
+			if !sameInterval(got, want, sg, sw) {
 				t.Logf("seed %d interval %d: cached %+v E=%v T=%v, reference %+v E=%v T=%v",
 					seed, step, sg, got.b.EnergyJ(), got.b.TempC(), sw, want.b.EnergyJ(), want.b.TempC())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunPairMatchesReference drives two boards through RunPair and two
+// reference twins through refRun. Each board draws its own scenario
+// (configuration, leakage scales, SimStep, taps, workload) and its own
+// write sequence, so the pair mixes unequal step counts, one-sided second
+// Exp calls, caps, throttles, stalls and phase changes; both boards must
+// match their twins bit for bit after every interval.
+func TestRunPairMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rngA, rngC := rand.New(rand.NewSource(seed^0xa)), rand.New(rand.NewSource(seed^0xc))
+		ca, cc := newPhysicsCase(rngA, seed), newPhysicsCase(rngC, seed+1)
+		a, refA := ca.build(t), ca.build(t)
+		c, refC := cc.build(t), cc.build(t)
+		for step := 0; step < 80; step++ {
+			randomWrites(rngA, a, refA)
+			randomWrites(rngC, c, refC)
+			dt := refIntervals[rng.Intn(len(refIntervals))]
+			sa, sc := RunPair(a.b, c.b, a.w, c.w, dt)
+			wa, wc := refRun(refA.b, refA.w, dt), refRun(refC.b, refC.w, dt)
+			if !sameInterval(a, refA, sa, wa) || !sameInterval(c, refC, sc, wc) {
+				t.Logf("seed %d interval %d: pair %+v / %+v, reference %+v / %+v",
+					seed, step, sa, sc, wa, wc)
 				return false
 			}
 		}
@@ -830,6 +924,26 @@ func BenchmarkBoardRun(b *testing.B) {
 	}
 }
 
+// BenchmarkBoardRunPair measures one 500 ms control interval of two boards
+// stepped together by RunPair; ns/board-interval compares with
+// BenchmarkBoardRun's ns/op.
+func BenchmarkBoardRunPair(b *testing.B) {
+	a, wa := cappedPhasedBoard(b)
+	c, wc := cappedPhasedBoard(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if wa.Done() {
+			wa.Reset()
+		}
+		if wc.Done() {
+			wc.Reset()
+		}
+		RunPair(a, c, wa, wc, 500*time.Millisecond)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/board-interval")
+}
+
 // TestBoardRunZeroAlloc keeps the physics hot path allocation-free.
 func TestBoardRunZeroAlloc(t *testing.T) {
 	bd, w := cappedPhasedBoard(t)
@@ -841,5 +955,23 @@ func TestBoardRunZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Board.Run allocates %v times per interval, want 0", allocs)
+	}
+}
+
+// TestRunPairZeroAlloc keeps the paired physics path allocation-free.
+func TestRunPairZeroAlloc(t *testing.T) {
+	a, wa := cappedPhasedBoard(t)
+	c, wc := cappedPhasedBoard(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		if wa.Done() {
+			wa.Reset()
+		}
+		if wc.Done() {
+			wc.Reset()
+		}
+		RunPair(a, c, wa, wc, 500*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("RunPair allocates %v times per interval, want 0", allocs)
 	}
 }

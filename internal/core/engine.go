@@ -93,12 +93,37 @@ func newBoardRun(cfg board.Config, sch Scheme, w workload.Workload, runKey strin
 
 // step executes control interval i: advance the fault injector, run the
 // board physics, invoke the controller stack, and feed the observation
-// taps. It is the single definition of "one control interval".
+// taps. It and stepPair are the only definitions of "one control interval",
+// and both are built from the same three parts.
 func (r *boardRun) step(i int) {
+	r.inject()
+	r.sens = r.b.Run(r.w, r.interval)
+	r.control(i)
+}
+
+// stepPair executes control interval i of two fleet boards, r and q, with
+// their physics interleaved by board.RunPair. The boards share the fleet's
+// control interval. Each board sees exactly the sequence of operations step
+// would give it; only the order in which the two independent boards' work
+// is issued differs.
+func stepPair(r, q *boardRun, i int) {
+	r.inject()
+	q.inject()
+	r.sens, q.sens = board.RunPair(r.b, q.b, r.w, q.w, r.interval)
+	r.control(i)
+	q.control(i)
+}
+
+// inject advances the board's fault injector to the coming interval.
+func (r *boardRun) inject() {
 	if r.inj != nil {
 		r.inj.Advance(r.b)
 	}
-	r.sens = r.b.Run(r.w, r.interval)
+}
+
+// control invokes the controller stack on the interval's sensor view and
+// feeds the observation taps.
+func (r *boardRun) control(i int) {
 	var t0 time.Time
 	observe := r.lat != nil || r.trace != nil
 	if observe {

@@ -181,15 +181,20 @@ func diffFingerprints(t *testing.T, name string, want, got []byte) {
 
 // TestEngineEquivalence is the engine-versus-oracle property test: for every
 // scheme × fault class (clean plus every isolated class) × fleet size
-// N∈{1,4,16} on the one-level tree, FleetRun (the event engine) and
+// N∈{1,3,4,5,16} on the one-level tree, FleetRun (the event engine) and
 // refFleetRun (the lockstep oracle) must produce byte-identical observable
 // output — every JSONL trace record and every result scalar. The one-board
 // fleet finishes before MaxTime; larger fleets mix finishing and running
-// boards (equivMembers). CI runs it under -race, so it also exercises the
-// event engine's batch parallelism for races.
+// boards (equivMembers). The engine steps boards in pairs: the odd sizes
+// leave a tail board running alone beside the pairs, and boards finish
+// mid-epoch in the first slot of a pair (N=5: board 3 beside board 4, once
+// board 1 has left) and in the second (board 1 beside board 0), their
+// partners continuing alone. The oracle steps every board alone. CI runs it
+// under -race, so it also exercises the event engine's batch parallelism
+// for races.
 func TestEngineEquivalence(t *testing.T) {
 	p := testPlatform(t)
-	fleetNs := []int{1, 4, 16}
+	fleetNs := []int{1, 3, 4, 5, 16}
 	for _, sch := range equivSchemes(p) {
 		for ci, class := range equivClasses() {
 			t.Run(sch.Name+"/"+class, func(t *testing.T) {
@@ -198,7 +203,7 @@ func TestEngineEquivalence(t *testing.T) {
 				if testing.Short() {
 					// Rotate one fleet size per cell in -short mode; the
 					// full matrix still covers every N per scheme.
-					ns = fleetNs[ci%3 : ci%3+1]
+					ns = fleetNs[ci%len(fleetNs) : ci%len(fleetNs)+1]
 				}
 				for _, n := range ns {
 					want := fleetFingerprint(t, p, sch, class, n, nil, n == 1, refFleetRun)

@@ -25,10 +25,11 @@ import (
 // every interval under a per-interval pool barrier), which lockstep_test.go
 // keeps as its test oracle, because nothing observable moves:
 // boardRun.step is the shared interval body (fault RNG, physics, controller,
-// per-board trace), reallocTree is the shared coordinator body and fires at
-// the same instants with boards in the same states, and the fleet trace is
-// reconstructed per interval from samples latched during the batches (see
-// flushEpoch). The golden suite, TestEngineEquivalence and
+// per-board trace), and stepPair runs two boards through the same parts with
+// only their physics interleaved; reallocTree is the shared coordinator body
+// and fires at the same instants with boards in the same states; and the
+// fleet trace is reconstructed per interval from samples latched during the
+// batches (see flushEpoch). The golden suite, TestEngineEquivalence and
 // TestTreeEngineEquivalence pin this.
 func (f *fleetRun) runEvent() error {
 	if f.maxSteps <= 0 {
@@ -76,7 +77,7 @@ func (f *fleetRun) runEvent() error {
 			case evWake:
 				fb := f.boards[e.ID]
 				if !fb.done {
-					fb.wokeEpoch = t
+					fb.wokeEpoch, fb.batchLen = t, 0
 					ready = append(ready, fb)
 				}
 			}
@@ -88,8 +89,14 @@ func (f *fleetRun) runEvent() error {
 		if len(ready) == 0 {
 			continue
 		}
-		err := pool.ForEachMetered(f.workers, len(ready), f.opt.Metrics, func(k int) error {
-			f.runBatch(ready[k], t, barrier)
+		// Each job steps two consecutive ready boards with their physics
+		// interleaved (DESIGN §13); an odd last board runs alone.
+		err := pool.ForEachMetered(f.workers, (len(ready)+1)/2, f.opt.Metrics, func(k int) error {
+			if 2*k+1 < len(ready) {
+				f.runPairBatch(ready[2*k], ready[2*k+1], t, barrier)
+			} else {
+				f.runBatch(ready[2*k], t, t, barrier)
+			}
 			return nil
 		})
 		if err != nil {
@@ -128,29 +135,57 @@ func (f *fleetRun) runEvent() error {
 	return nil
 }
 
-// runBatch executes one board's intervals from start up to the reallocation
-// barrier, stopping early when the workload completes, and latches each
-// interval's fleet-trace sample when a fleet trace is attached. Runs on a
+// runBatch executes one board's intervals [from, barrier) of the epoch that
+// started at start, stopping early when the workload completes. Runs on a
 // pool worker; touches only its own board.
-func (f *fleetRun) runBatch(fb *fleetBoard, start, barrier int) {
-	fb.batchLen = 0
-	for step := start; step < barrier; step++ {
+func (f *fleetRun) runBatch(fb *fleetBoard, start, from, barrier int) {
+	for step := from; step < barrier; step++ {
 		fb.step(step)
-		fb.batchLen++
-		if fb.samples != nil {
-			fb.samples[step-start] = fleetSample{
-				bigW:            fb.sens.BigPowerW,
-				littleW:         fb.sens.LittlePowerW,
-				bips:            fb.sens.BIPS,
-				budgetThrottled: fb.b.BudgetThrottled(),
-			}
-		}
-		if fb.w.Done() {
-			fb.done = true
-			f.live.Add(-1)
-			break
+		if f.latch(fb, start, step) {
+			return
 		}
 	}
+}
+
+// runPairBatch executes two boards' intervals of the epoch that started at
+// start through stepPair. When one finishes, its partner continues alone
+// through runBatch from the next interval.
+func (f *fleetRun) runPairBatch(a, c *fleetBoard, start, barrier int) {
+	for step := start; step < barrier; step++ {
+		stepPair(&a.boardRun, &c.boardRun, step)
+		aDone, cDone := f.latch(a, start, step), f.latch(c, start, step)
+		if aDone || cDone {
+			if !aDone {
+				f.runBatch(a, start, step+1, barrier)
+			}
+			if !cDone {
+				f.runBatch(c, start, step+1, barrier)
+			}
+			return
+		}
+	}
+}
+
+// latch records that fb executed the given interval: it counts the interval
+// into the batch, latches its fleet-trace sample when a fleet trace is
+// attached, and marks the board done if its workload completed, which it
+// reports.
+func (f *fleetRun) latch(fb *fleetBoard, start, step int) bool {
+	fb.batchLen++
+	if fb.samples != nil {
+		fb.samples[step-start] = fleetSample{
+			bigW:            fb.sens.BigPowerW,
+			littleW:         fb.sens.LittlePowerW,
+			bips:            fb.sens.BIPS,
+			budgetThrottled: fb.b.BudgetThrottled(),
+		}
+	}
+	if fb.w.Done() {
+		fb.done = true
+		f.live.Add(-1)
+		return true
+	}
+	return false
 }
 
 // flushEpoch reconstructs the per-interval fleet-trace records for the epoch

@@ -235,3 +235,58 @@ func TestGoldenHierarchicalFleetTrace(t *testing.T) {
 		compareGolden(t, fmt.Sprintf("fleet-tree-2x2-board%d", i), bb.Bytes())
 	}
 }
+
+// TestGoldenFleetCompletionTrace pins the fleet trace through board
+// completion: five boards (an odd count) run short synthetic apps of
+// staggered sizes, so they finish at different intervals inside and across
+// reallocation epochs, while the fifth runs gamess until MaxTime. Every
+// finishing interval is recorded as Done, and the budget a finished board
+// frees is re-divided over the boards still live.
+func TestGoldenFleetCompletionTrace(t *testing.T) {
+	c := testContext(t)
+	sch := c.P.CoordinatedHeuristic()
+	members := make([]core.FleetMember, 5)
+	for i := range members {
+		var w workload.Workload
+		if i == len(members)-1 {
+			w = workload.MustLookup("gamess")
+		} else {
+			a, err := workload.NewApp("short", float64(14+11*i), []workload.Phase{
+				{WorkFrac: 0.6, Threads: 8, MemBound: 0.25, IPCBig: 1.4, IPCLittle: 0.7},
+				{WorkFrac: 0.4, Threads: 3, MemBound: 0.5, IPCBig: 0.9, IPCLittle: 0.5},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = a
+		}
+		members[i] = core.FleetMember{Scheme: sch, Workload: w}
+	}
+	rec := obs.NewFleetRecorder(0)
+	opt := core.FleetOptions{
+		Budget:       fleet.Budget{TotalW: 11, MinW: 1.0, MaxW: 4.5},
+		TreePolicy:   func() fleet.Policy { return fleet.NewSlackFeedback() },
+		ReallocEvery: 4,
+		MaxTime:      30 * time.Second,
+		Faults:       fault.Preset(1, 0.5),
+		Trace:        rec,
+	}
+	res, err := core.FleetRun(c.P.Cfg, members, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := 0
+	for _, br := range res.Boards {
+		if br.Completed {
+			finished++
+		}
+	}
+	if finished != len(members)-1 {
+		t.Fatalf("%d boards finished before MaxTime, want %d", finished, len(members)-1)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "fleet-completion-n5.fleet", buf.Bytes())
+}

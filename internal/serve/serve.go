@@ -299,13 +299,32 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
+// decodeBody decodes a request body into v and rejects any field v does
+// not declare, so a misspelt field is a 400 naming it rather than a silent
+// default. (WAL recovery decodes leniently: logs written by earlier
+// versions must still replay.)
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// createBody is the create endpoint's wire form: a CreateRequest plus the
+// retired engine field, which older clients still send and which is
+// accepted and ignored.
+type createBody struct {
+	CreateRequest
+	Engine json.RawMessage `json:"engine"`
+}
+
 // handleCreate is POST /v1/sessions: admission control, then session birth.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var body createBody
+	if err := decodeBody(r, &body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
 		return
 	}
+	req := body.CreateRequest
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = "default"
@@ -394,7 +413,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
 		return
 	}

@@ -300,6 +300,41 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
+// TestMisspeltFieldsRejected pins strict request decoding: a create body
+// with a misspelt field is a 400 bad_request naming the field and creates
+// nothing, and a step body with one is a 400 that neither advances the run
+// nor consumes its sequence number.
+func TestMisspeltFieldsRejected(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	var e errorBody
+	code := do(t, "POST", ts.URL+"/v1/sessions",
+		json.RawMessage(`{"scheme":"coordinated","app":"gamess","fault_clas":"all"}`), &e)
+	if code != http.StatusBadRequest || e.Code != "bad_request" || !strings.Contains(e.Error, `"fault_clas"`) {
+		t.Fatalf("misspelt create field: status %d, body %+v", code, e)
+	}
+	if n := s.slots.InUse(); n != 0 {
+		t.Fatalf("rejected create holds %d session slots", n)
+	}
+
+	info := create(t, ts, CreateRequest{Scheme: "coordinated", App: "gamess", MaxTimeS: 20})
+	url := ts.URL + "/v1/sessions/" + info.ID + "/step"
+	var sr StepResponse
+	if code := do(t, "POST", url, StepRequest{Steps: 2, Seq: 1}, &sr); code != http.StatusOK || sr.Steps != 2 {
+		t.Fatalf("step seq 1: status %d, %+v", code, sr)
+	}
+	e = errorBody{}
+	code = do(t, "POST", url, json.RawMessage(`{"steps":3,"seq":2,"stpes":1}`), &e)
+	if code != http.StatusBadRequest || e.Code != "bad_request" || !strings.Contains(e.Error, `"stpes"`) {
+		t.Fatalf("misspelt step field: status %d, body %+v", code, e)
+	}
+	// Had the rejected request applied seq 2, this would replay its cached
+	// outcome instead of running.
+	if code := do(t, "POST", url, StepRequest{Steps: 1, Seq: 2}, &sr); code != http.StatusOK ||
+		sr.Executed != 1 || sr.Steps != 3 {
+		t.Fatalf("step seq 2 after the rejected request: status %d, %+v", code, sr)
+	}
+}
+
 // TestRetiredEngineFieldIgnored pins what a client that still sends the
 // retired "engine" create field gets: the JSON decoder ignores the field, so
 // a POST body carrying "engine":"lockstep" and a recovered log whose create
