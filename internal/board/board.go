@@ -553,25 +553,34 @@ func (b *Board) begin(w workload.Workload, dt time.Duration) interval {
 }
 
 // refresh brings the cached operating points up to date for the next
-// substep.
+// substep. The common case, no rekey and an unchanged profile, is one
+// compare; anything else takes the outlined reop.
 func (b *Board) refresh(iv *interval) {
 	prof := iv.w.Profile()
-	if iv.rekey {
-		k := opKey{
-			prof:        prof,
-			fBig:        b.EffectiveBigFreq(),
-			fLittle:     b.EffectiveLittleFreq(),
-			bigCores:    b.bigCores,
-			littleCores: b.littleCores,
-			place:       b.place,
-		}
-		if !b.opValid || k != b.opKey {
-			b.opBig, b.opLittle = b.evalOps(k)
-			b.opKey, b.opValid = k, true
-		}
-	} else if prof != b.opKey.prof {
+	if iv.rekey || prof != b.opKey.prof {
+		b.reop(iv.rekey, prof)
+	}
+}
+
+// reop recomputes the operating points whose key moved: with rekey, the
+// full key is rebuilt and compared; without, only the profile changed.
+func (b *Board) reop(rekey bool, prof workload.Profile) {
+	if !rekey {
 		b.opKey.prof = prof
 		b.opBig, b.opLittle = b.evalOps(b.opKey)
+		return
+	}
+	k := opKey{
+		prof:        prof,
+		fBig:        b.EffectiveBigFreq(),
+		fLittle:     b.EffectiveLittleFreq(),
+		bigCores:    b.bigCores,
+		littleCores: b.littleCores,
+		place:       b.place,
+	}
+	if !b.opValid || k != b.opKey {
+		b.opBig, b.opLittle = b.evalOps(k)
+		b.opKey, b.opValid = k, true
 	}
 }
 
@@ -640,12 +649,47 @@ func (b *Board) integrate(iv *interval, leakBig float64) {
 		b.windowStartS = b.nowS
 	}
 
-	// Firmware emergency management sees instantaneous physics.
-	tmuStepped := b.tmu.step(b, bigW, littleW, stepS)
+	// Firmware emergency management sees instantaneous physics. The
+	// governors' timers advance here every substep; their actions run
+	// only when a step period elapses, the only time a cap can move.
+	t := &b.tmu
+	t.sinceStepS += stepS
+	// A forced event (Board.ForceEmergencyThrottle) makes the thermal path
+	// see a violation for its duration regardless of the real temperature.
+	forced := t.forcedS > 0
+	if forced {
+		t.forcedS -= stepS
+	}
+	track(bigW > b.cfg.BigPowerEmergencyW, stepS, &t.overBigS, &t.underBigS)
+	track(littleW > b.cfg.LittlePowerEmergencyW, stepS, &t.overLittleS, &t.underLittleS)
+	track(forced || b.tempC > b.cfg.TempEmergencyC, stepS, &t.overTempS, &t.underTempS)
+	iv.rekey = false
+	if t.sinceStepS >= t.stepPeriod {
+		t.act(b, bigW, littleW)
+		iv.rekey = true
+	}
 	// The budget governor enforces the board-level power cap on the
 	// total draw, after (and never overriding) the emergency paths.
-	budgetStepped := b.budget.step(b, pTotal, stepS)
-	iv.rekey = tmuStepped || budgetStepped
+	if g := &b.budget; g.capW > 0 {
+		g.sinceStepS += stepS
+		track(pTotal > g.capW, stepS, &g.overS, &g.underS)
+		if g.sinceStepS >= g.stepPeriod {
+			g.act(b, pTotal)
+			iv.rekey = true
+		}
+	}
+}
+
+// track advances a governor's sustained-violation and sustained-safe
+// timers by dt: the one that matches over grows, the other restarts.
+func track(over bool, dt float64, overS, underS *float64) {
+	if over {
+		*overS += dt
+		*underS = 0
+	} else {
+		*underS += dt
+		*overS = 0
+	}
 }
 
 // end closes the interval: it folds the retired instructions into the

@@ -71,24 +71,11 @@ func (g *budget) setCap(w, maxGHz float64) {
 	g.capW = w
 }
 
-// step advances the governor by dt seconds given the instantaneous total
-// board power (big + little + base). It reports whether the step period
-// elapsed, the only time the ceiling can move.
-func (g *budget) step(b *Board, totalW, dt float64) bool {
-	if g.capW <= 0 {
-		return false
-	}
-	g.sinceStepS += dt
-	if totalW > g.capW {
-		g.overS += dt
-		g.underS = 0
-	} else {
-		g.underS += dt
-		g.overS = 0
-	}
-	if g.sinceStepS < g.stepPeriod {
-		return false
-	}
+// act is the governor's step-period action, run by Board.integrate when
+// sinceStepS reaches stepPeriod on a capped board: it restarts the period
+// and moves the ceiling given the instantaneous total board power (big +
+// little + base). The timers advance every substep in integrate.
+func (g *budget) act(b *Board, totalW float64) {
 	g.sinceStepS = 0
 	big := &b.cfg.Big
 	switch {
@@ -106,7 +93,6 @@ func (g *budget) step(b *Board, totalW, dt float64) bool {
 			g.engaged = false
 		}
 	}
-	return true
 }
 
 // SetPowerCapW imposes a board-level power budget in watts on the total

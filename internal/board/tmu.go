@@ -35,35 +35,12 @@ func newTMU(cfg Config) tmu {
 	}
 }
 
-// step advances the firmware state machine by dt seconds given instantaneous
-// cluster powers. It reports whether the step period elapsed, the only time
-// a cap can move.
-func (t *tmu) step(b *Board, bigW, littleW, dt float64) bool {
+// act is the firmware's step-period action, run by Board.integrate when
+// sinceStepS reaches stepPeriod: it restarts the period and moves the caps
+// the sustained violation and safe timers call for. The timers themselves
+// advance every substep in integrate.
+func (t *tmu) act(b *Board, bigW, littleW float64) {
 	cfg := &b.cfg
-	t.sinceStepS += dt
-
-	track := func(over bool, overS, underS *float64) {
-		if over {
-			*overS += dt
-			*underS = 0
-		} else {
-			*underS += dt
-			*overS = 0
-		}
-	}
-	// A forced event (Board.ForceEmergencyThrottle) makes the thermal path
-	// see a violation for its duration regardless of the real temperature.
-	forced := t.forcedS > 0
-	if forced {
-		t.forcedS -= dt
-	}
-	track(bigW > cfg.BigPowerEmergencyW, &t.overBigS, &t.underBigS)
-	track(littleW > cfg.LittlePowerEmergencyW, &t.overLittleS, &t.underLittleS)
-	track(forced || b.tempC > cfg.TempEmergencyC, &t.overTempS, &t.underTempS)
-
-	if t.sinceStepS < t.stepPeriod {
-		return false
-	}
 	t.sinceStepS = 0
 	hystBig := cfg.BigPowerEmergencyW * (1 - cfg.EmergencyHysteresisPct)
 	hystLittle := cfg.LittlePowerEmergencyW * (1 - cfg.EmergencyHysteresisPct)
@@ -126,5 +103,4 @@ func (t *tmu) step(b *Board, bigW, littleW, dt float64) bool {
 			t.engagedTemp = false
 		}
 	}
-	return true
 }

@@ -143,7 +143,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 		d = c.cfg.BackoffCap
 	}
 	c.mu.Lock()
-	factor := 0.75 + 0.5*c.rng.Float64()
+	factor := 0.75 + float64(0.5*c.rng.Float64())
 	c.mu.Unlock()
 	return time.Duration(float64(d) * factor)
 }

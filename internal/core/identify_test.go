@@ -88,30 +88,19 @@ func TestNewPlatformReportsFirstSequentialError(t *testing.T) {
 	}
 }
 
-// fmaCheckedPackages are the packages whose arm64 code must hold no fused
-// multiply-add. Go may fuse x*y + z into one instruction on arm64 (but never
-// on amd64), which rounds once instead of twice and so changes results; an
-// explicit float64(x*y) conversion forbids it. The arithmetic of a listed
-// package then rounds alike on every architecture; calls into unlisted
-// packages still may not.
-var fmaCheckedPackages = []string{
-	"./internal/lti", "./internal/sysid", "./internal/robust", "./internal/ssvctl", "./internal/core",
-	"./internal/fleet", "./internal/obs", "./internal/board", "./internal/mat",
-	"./internal/fault", "./internal/workload", "./internal/lqgctl", "./internal/heuristic", "./internal/optimizer",
-}
-
 // fusedOp matches one fused multiply-add in the compiler's assembly listing
 // and captures its file:line.
 var fusedOp = regexp.MustCompile(`\(([^()]+:\d+)\)\s+(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
 
-// TestIdentificationHasNoFusedMultiplyAdd cross-compiles fmaCheckedPackages
-// (identification, μ-synthesis, the SSV, LQG and heuristic runtimes, the
-// optimizer, the controller schemes, the fleet coordinators, the metrics
-// registry, board physics, workloads, fault injection and the dense matrix
-// kernels) for arm64 with the assembly
-// listing on and fails on any fused multiply-add, naming each site.
-// Functions from other packages inlined into a checked one
-// (mat.Matrix.FrobeniusNorm into lti) are checked with it.
+// TestIdentificationHasNoFusedMultiplyAdd cross-compiles every package under
+// internal/ for arm64 with the assembly listing on and fails on any fused
+// multiply-add, naming each site. Go may fuse x*y + z into one instruction on
+// arm64 (but never on amd64), which rounds once instead of twice and so
+// changes results; an explicit float64(x*y) conversion forbids it. The
+// repository's own arithmetic then rounds alike on every architecture; calls
+// into the standard library's math functions still may not.
+// Functions from other packages inlined into a checked one are checked with
+// it, and a new package is checked without being listed anywhere.
 func TestIdentificationHasNoFusedMultiplyAdd(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -121,16 +110,22 @@ func TestIdentificationHasNoFusedMultiplyAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(goBin, append([]string{"build", "-gcflags=-S"}, fmaCheckedPackages...)...)
-	cmd.Dir = root
-	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
+	env := append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
+	list := exec.Command(goBin, "list", "./internal/...")
+	list.Dir, list.Env = root, env
+	pkgs, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	cmd := exec.Command(goBin, "build", "-gcflags=-S", "./internal/...")
+	cmd.Dir, cmd.Env = root, env
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("arm64 build: %v\n%s", err, out)
 	}
 	listing := string(out)
-	for _, pkg := range fmaCheckedPackages {
-		if !strings.Contains(listing, "yukta/"+strings.TrimPrefix(pkg, "./")+".") {
+	for _, pkg := range strings.Fields(string(pkgs)) {
+		if !strings.Contains(listing, pkg+".") {
 			t.Fatalf("the arm64 listing has no code of %s; the check would pass vacuously", pkg)
 		}
 	}

@@ -39,7 +39,7 @@ type SupervisorAgg struct {
 func (a *SupervisorAgg) add(st supervisor.Stats, intervalS float64) {
 	a.Trips += st.Trips
 	a.Recoveries += st.Recoveries
-	a.FallbackS += float64(st.FallbackSteps) * intervalS
+	a.FallbackS += float64(float64(st.FallbackSteps) * intervalS)
 	a.latencySteps += st.RecoveryLatencySteps
 	a.intervalS = intervalS
 	if a.Recoveries > 0 {

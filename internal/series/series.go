@@ -83,7 +83,7 @@ func (s *Series) Summarize() Stats {
 			continue
 		}
 		d := v - st.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	st.Std = math.Sqrt(ss / float64(n))
 	// Count significant direction reversals over the finite samples.
@@ -148,13 +148,13 @@ func (s *Series) Quantile(q float64) float64 {
 	if q >= 1 {
 		return vals[len(vals)-1]
 	}
-	pos := q * float64(len(vals)-1)
+	pos := float64(q * float64(len(vals)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(vals) {
 		return vals[len(vals)-1]
 	}
-	return vals[lo] + frac*(vals[lo+1]-vals[lo])
+	return vals[lo] + float64(frac*(vals[lo+1]-vals[lo]))
 }
 
 // MeanAbove returns the mean of finite samples with t >= t0 (for

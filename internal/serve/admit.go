@@ -46,7 +46,7 @@ func (b *buckets) take(tenant string) (bool, time.Duration) {
 		b.byID[tenant] = bk
 	}
 	if dt := now.Sub(bk.last).Seconds(); dt > 0 {
-		bk.tokens += dt * b.rate
+		bk.tokens += float64(dt * b.rate)
 		if max := float64(b.burst); bk.tokens > max {
 			bk.tokens = max
 		}

@@ -58,13 +58,24 @@ type Workload interface {
 	Reset()
 }
 
-// App is a phase-structured application model.
+// App is a phase-structured application model. Its 64 bytes are one whole
+// allocation size class, so no two Apps share a cache line: fleet workers
+// advance the Apps of neighbouring boards concurrently, and one more field
+// would make them write to each other's lines every substep.
 type App struct {
 	name   string
-	phases []Phase
+	phases []appPhase
 	total  float64 // billions of instructions
 
-	done float64 // consumed billions
+	done  float64 // consumed billions
+	phase int     // index of the current phase; moves only forward until Reset
+}
+
+// appPhase is a phase with its running work fraction: cum is WorkFrac summed
+// over this phase and every earlier one, in phase order.
+type appPhase struct {
+	Phase
+	cum float64
 }
 
 // NewApp builds an application from its phase list. Phase work fractions
@@ -77,18 +88,18 @@ func NewApp(name string, totalGInst float64, phases []Phase) (*App, error) {
 		return nil, fmt.Errorf("workload: %s: no phases", name)
 	}
 	var sum float64
+	ph := make([]appPhase, len(phases))
 	for i, p := range phases {
 		if p.WorkFrac <= 0 || p.Threads < 1 || p.MemBound < 0 || p.MemBound >= 1 ||
 			p.IPCBig <= 0 || p.IPCLittle <= 0 {
 			return nil, fmt.Errorf("workload: %s: invalid phase %d: %+v", name, i, p)
 		}
 		sum += p.WorkFrac
+		ph[i] = appPhase{Phase: p, cum: sum}
 	}
 	if sum < 1-1e-6 || sum > 1+1e-6 {
 		return nil, fmt.Errorf("workload: %s: phase fractions sum to %v", name, sum)
 	}
-	ph := make([]Phase, len(phases))
-	copy(ph, phases)
 	return &App{name: name, phases: ph, total: totalGInst}, nil
 }
 
@@ -111,19 +122,19 @@ func (a *App) Remaining() float64 {
 func (a *App) Done() bool { return a.done >= a.total }
 
 // Reset rewinds to the start.
-func (a *App) Reset() { a.done = 0 }
+func (a *App) Reset() { a.done, a.phase = 0, 0 }
 
-// currentPhase returns the phase covering the current progress point.
-func (a *App) currentPhase() Phase {
+// currentPhase returns the first phase whose cumulative work fraction lies
+// above the current progress point, or the last phase when none does (a NaN
+// progress included). Progress only grows between Resets, so every phase
+// before the cached index has already been passed and the search resumes
+// there instead of at phase 0.
+func (a *App) currentPhase() *Phase {
 	frac := a.done / a.total
-	var cum float64
-	for _, p := range a.phases {
-		cum += p.WorkFrac
-		if frac < cum {
-			return p
-		}
+	for a.phase < len(a.phases)-1 && !(frac < a.phases[a.phase].cum) {
+		a.phase++
 	}
-	return a.phases[len(a.phases)-1]
+	return &a.phases[a.phase].Phase
 }
 
 // Profile returns the current phase's profile.
@@ -149,7 +160,7 @@ func (a *App) Advance(gInst float64) bool {
 
 // Clone returns a fresh (reset) copy of the application.
 func (a *App) Clone() *App {
-	ph := make([]Phase, len(a.phases))
+	ph := make([]appPhase, len(a.phases))
 	copy(ph, a.phases)
 	return &App{name: a.name, phases: ph, total: a.total}
 }
